@@ -175,7 +175,8 @@ ClusterReport Cluster::run(const SchedulerFactory& make_scheduler,
 
 ClusterSession::ClusterSession(const Cluster& cluster,
                                const SchedulerFactory& make_scheduler,
-                               IPlacementPolicy& policy)
+                               IPlacementPolicy& policy,
+                               EpochHistory history)
     : cluster_(&cluster), policy_(&policy) {
   OB_REQUIRE(static_cast<bool>(make_scheduler),
              "ClusterSession: null scheduler factory");
@@ -187,7 +188,7 @@ ClusterSession::ClusterSession(const Cluster& cluster,
     OB_REQUIRE(schedulers_.back() != nullptr,
                "ClusterSession: scheduler factory returned null");
     sessions_.emplace_back(*cluster_->zoo_, *cluster_->sims_[i],
-                           cluster_->config_.serving);
+                           cluster_->config_.serving, history);
     // A previous faulted run may have left the board throttled; reruns must
     // be byte-identical, so every run starts at full health (setting 1.0 on
     // a healthy board is numerically a no-op).
@@ -614,7 +615,7 @@ std::string format_cluster_report(const ClusterReport& report) {
   for (std::size_t i = 0; i < report.boards.size(); ++i) {
     const ServingReport& br = report.boards[i];
     table.add_row(
-        {report.board_names[i], std::to_string(br.epochs.size()),
+        {report.board_names[i], std::to_string(br.epoch_count),
          std::to_string(br.decisions), util::fmt(br.mean_throughput, 2),
          util::fmt(100.0 * br.mean_churn, 1) + "%",
          br.total_slo_streams == 0

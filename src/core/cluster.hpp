@@ -279,8 +279,8 @@ class Cluster {
 /// Events must satisfy the Scenario invariants for the fleet (non-
 /// decreasing times, arrive-while-absent, depart-while-present, per-board
 /// fault legality); a Scenario guarantees this for batch replays, and the
-/// daemon validates each live command by re-validating its recorded trace
-/// plus the candidate before applying. The session holds references into
+/// daemon runs each live command through the same workload::
+/// ScenarioValidator before applying it. The session holds references into
 /// the Cluster — it must not outlive it, and at most one session per
 /// Cluster may be live at a time (sessions share the cluster's board
 /// simulators). Destruction resets every board simulator to full speed, so
@@ -309,8 +309,13 @@ class ClusterSession {
     double measured_throughput = 0.0;
   };
 
+  /// \param history forwarded to every board's ServingSession: the daemon
+  ///   passes EpochHistory::kAggregatesOnly so a session's memory and
+  ///   finish() cost do not grow with its length; the report text
+  ///   (format_cluster_report) is the same either way.
   ClusterSession(const Cluster& cluster, const SchedulerFactory& make_scheduler,
-                 IPlacementPolicy& policy);
+                 IPlacementPolicy& policy,
+                 EpochHistory history = EpochHistory::kAll);
   ~ClusterSession();
   ClusterSession(const ClusterSession&) = delete;
   ClusterSession& operator=(const ClusterSession&) = delete;

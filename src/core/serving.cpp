@@ -36,11 +36,22 @@ double mapping_churn(const sim::Mapping& previous,
 
 ServingSession::ServingSession(const models::ModelZoo& zoo,
                                const sim::DesSimulator& board,
-                               ServingConfig config)
+                               ServingConfig config, EpochHistory history)
     : zoo_(&zoo),
       board_(&board),
       config_(config),
-      migration_(board.device(), config.migration) {}
+      migration_(board.device(), config.migration),
+      history_(history) {}
+
+const EpochReport& ServingSession::record(EpochReport ep) {
+  ++report_.epoch_count;
+  if (history_ == EpochHistory::kAll) {
+    report_.epochs.push_back(std::move(ep));
+    return report_.epochs.back();
+  }
+  last_epoch_ = std::move(ep);
+  return last_epoch_;
+}
 
 const EpochReport& ServingSession::apply(IScheduler& scheduler,
                                          const workload::ScenarioEvent& e,
@@ -86,8 +97,7 @@ const EpochReport& ServingSession::apply(IScheduler& scheduler,
     ep.mix = "(idle)";
     have_prev_ = false;
     last_throughput_ = 0.0;
-    report_.epochs.push_back(std::move(ep));
-    return report_.epochs.back();
+    return record(std::move(ep));
   }
 
   return serve_epoch(scheduler, std::move(ep), arrival_stall_s);
@@ -215,8 +225,7 @@ const EpochReport& ServingSession::serve_epoch(IScheduler& scheduler,
   prev_w_ = w;
   prev_mapping_ = ep.decision.mapping;
   have_prev_ = true;
-  report_.epochs.push_back(std::move(ep));
-  return report_.epochs.back();
+  return record(std::move(ep));
 }
 
 ServingReport ServingSession::finish() const {

@@ -82,7 +82,10 @@ struct EpochReport {
 
 /// The whole serving session, plus the aggregates the benches compare.
 struct ServingReport {
+  /// Every epoch served, in order — empty when the session was built with
+  /// EpochHistory::kAggregatesOnly (epoch_count still counts them).
   std::vector<EpochReport> epochs;
+  std::size_t epoch_count = 0;  ///< epochs served (== epochs.size() by default)
 
   std::size_t decisions = 0;          ///< epochs that scheduled (non-idle)
   double total_decision_seconds = 0.0;
@@ -119,6 +122,17 @@ double mapping_churn(const sim::Mapping& previous,
                      std::size_t* surviving_layers = nullptr,
                      std::size_t* moved_layers = nullptr);
 
+/// Whether a ServingSession keeps a record of every epoch it serves.
+enum class EpochHistory {
+  /// ServingReport::epochs holds every EpochReport (batch replays, the
+  /// CLI's reports and JSON, the benches).
+  kAll,
+  /// Only the running aggregates, the epoch count and the latest epoch are
+  /// kept, so memory and finish() cost stay flat however long the session
+  /// runs (the live daemon). Every aggregate is identical to kAll's.
+  kAggregatesOnly,
+};
+
 /// One board's serving loop opened up event-by-event.
 ///
 /// Holds exactly the state ServingRuntime::run keeps between events (the
@@ -132,8 +146,10 @@ class ServingSession {
   /// \param zoo    dataset networks backing every mix
   /// \param board  DES simulator standing in for the physical board. Held by
   ///               reference — must outlive the session.
+  /// \param history whether finish() reports every epoch (see EpochHistory)
   ServingSession(const models::ModelZoo& zoo, const sim::DesSimulator& board,
-                 ServingConfig config = {});
+                 ServingConfig config = {},
+                 EpochHistory history = EpochHistory::kAll);
 
   /// Applies one event and serves the epoch that follows it: updates the
   /// mix, asks \p scheduler for a mapping (schedule() on the first or
@@ -177,7 +193,7 @@ class ServingSession {
   const std::vector<models::ModelId>& present() const { return present_; }
   const std::vector<double>& present_slo_s() const { return present_slo_s_; }
   bool idle() const { return present_.empty(); }
-  std::size_t epochs_applied() const { return report_.epochs.size(); }
+  std::size_t epochs_applied() const { return report_.epoch_count; }
   /// DES throughput measured by the most recent non-idle epoch (0 before
   /// the first decision or right after an idle epoch) — placement policies
   /// read this as the board's live load signal.
@@ -199,11 +215,15 @@ class ServingSession {
   /// stay bit-identical on the paths they share.
   const EpochReport& serve_epoch(IScheduler& scheduler, EpochReport ep,
                                  double arrival_stall_s);
+  /// Counts \p ep and keeps it as the latest epoch (and in the report's
+  /// history under EpochHistory::kAll).
+  const EpochReport& record(EpochReport ep);
 
   const models::ModelZoo* zoo_;
   const sim::DesSimulator* board_;
   ServingConfig config_;
   sim::MigrationCostModel migration_;
+  EpochHistory history_;
 
   // Serving state: the mix currently on the board (with each stream's SLO,
   // index-aligned) and its mapping.
@@ -222,6 +242,7 @@ class ServingSession {
   double last_throughput_ = 0.0;
 
   ServingReport report_;
+  EpochReport last_epoch_;  ///< the latest epoch under kAggregatesOnly
 };
 
 /// Event loop that serves a Scenario with one scheduler.

@@ -18,8 +18,18 @@ namespace omniboost::util {
 
 namespace {
 
+/// Longest line recv_line buffers before it gives up on the peer.
+constexpr std::size_t kMaxLineBytes = 64 * 1024;
+
 [[noreturn]] void raise(const std::string& what) {
   throw std::runtime_error(what + ": " + std::strerror(errno));
+}
+
+/// Turns off Nagle's algorithm on a connected socket (see net.hpp).
+void set_nodelay(int fd) {
+  const int one = 1;
+  if (::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one)) < 0)
+    raise("setsockopt TCP_NODELAY");
 }
 
 /// poll() one fd for readability; true = readable, false = timed out.
@@ -60,12 +70,17 @@ void TcpStream::close() {
   buffer_.clear();
 }
 
-void TcpStream::send_line(const std::string& line) {
-  OB_REQUIRE(fd_ >= 0, "TcpStream::send_line: stream is not connected");
-  OB_REQUIRE(line.find('\n') == std::string::npos,
-             "TcpStream::send_line: line must not contain a newline");
-  std::string wire = line;
-  wire += '\n';
+void TcpStream::send_line(const std::string& line) { send_lines({line}); }
+
+void TcpStream::send_lines(const std::vector<std::string>& lines) {
+  OB_REQUIRE(fd_ >= 0, "TcpStream::send_lines: stream is not connected");
+  std::string wire;
+  for (const std::string& line : lines) {
+    OB_REQUIRE(line.find('\n') == std::string::npos,
+               "TcpStream::send_lines: a line must not contain a newline");
+    wire += line;
+    wire += '\n';
+  }
   std::size_t sent = 0;
   while (sent < wire.size()) {
     // MSG_NOSIGNAL: a vanished peer yields EPIPE, not a process-wide SIGPIPE.
@@ -85,11 +100,13 @@ TcpStream::RecvStatus TcpStream::recv_line(std::string* out, int timeout_ms) {
   for (;;) {
     const std::size_t eol = buffer_.find('\n');
     if (eol != std::string::npos) {
+      if (eol > kMaxLineBytes) return RecvStatus::kTooLong;
       *out = buffer_.substr(0, eol);
       buffer_.erase(0, eol + 1);
       if (!out->empty() && out->back() == '\r') out->pop_back();
       return RecvStatus::kLine;
     }
+    if (buffer_.size() > kMaxLineBytes) return RecvStatus::kTooLong;
     if (!wait_readable(fd_, timeout_ms)) return RecvStatus::kTimeout;
     char chunk[4096];
     const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
@@ -149,7 +166,11 @@ TcpStream TcpListener::accept(int timeout_ms) {
   if (!wait_readable(fd_, timeout_ms)) return TcpStream{};
   for (;;) {
     const int client = ::accept(fd_, nullptr, nullptr);
-    if (client >= 0) return TcpStream{client};
+    if (client >= 0) {
+      TcpStream stream{client};
+      set_nodelay(client);
+      return stream;
+    }
     if (errno != EINTR) raise("accept");
   }
 }
@@ -167,8 +188,11 @@ TcpStream tcp_connect(const std::string& host, std::uint16_t port) {
   if (fd < 0) raise("socket");
   for (;;) {
     if (::connect(fd, reinterpret_cast<struct sockaddr*>(&addr),
-                  sizeof(addr)) == 0)
-      return TcpStream{fd};
+                  sizeof(addr)) == 0) {
+      TcpStream stream{fd};
+      set_nodelay(fd);
+      return stream;
+    }
     if (errno != EINTR) {
       const int saved = errno;
       ::close(fd);

@@ -7,9 +7,16 @@
 /// newline-delimited message discipline matching the scenario trace grammar.
 /// Everything is POSIX sockets; errors surface as std::runtime_error with
 /// the errno text attached. Objects are move-only owners of their fd.
+///
+/// Every accepted and connected socket has TCP_NODELAY set: the protocol is
+/// request/response, so Nagle's algorithm would hold the tail of a reply
+/// until the peer's delayed ACK (~40 ms on Linux) for nothing. Received
+/// lines are bounded (64 KiB), so a peer that never sends a newline cannot
+/// grow the buffer without limit.
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 namespace omniboost::util {
 
@@ -25,20 +32,29 @@ class TcpStream {
   TcpStream& operator=(const TcpStream&) = delete;
 
   bool valid() const { return fd_ >= 0; }
+  /// The underlying socket (for socket-option queries; -1 when !valid()).
+  int fd() const { return fd_; }
 
   /// Writes \p line plus a trailing '\n' (the line must not contain one).
   /// Throws std::runtime_error on a closed or broken connection.
   void send_line(const std::string& line);
 
+  /// Writes every line of \p lines, each plus a trailing '\n', as one
+  /// buffer in one send() (a whole reply leaves in one segment). Same
+  /// contract as send_line for each line.
+  void send_lines(const std::vector<std::string>& lines);
+
   enum class RecvStatus {
     kLine,     ///< a full line was received (newline stripped)
     kTimeout,  ///< nothing arrived within the timeout
     kClosed,   ///< the peer closed the connection
+    kTooLong,  ///< the next line exceeds 64 KiB; the stream is unusable
   };
 
   /// Reads the next newline-delimited line into \p out (without the
   /// newline; a trailing '\r' is stripped for telnet-friendliness).
-  /// \p timeout_ms < 0 blocks indefinitely; 0 polls.
+  /// \p timeout_ms < 0 blocks indefinitely; 0 polls. A line longer than
+  /// 64 KiB yields kTooLong; the caller should close the stream.
   RecvStatus recv_line(std::string* out, int timeout_ms = -1);
 
   void close();

@@ -11,102 +11,91 @@
 
 namespace omniboost::workload {
 
-namespace {
-
-/// Replays events [0, upto) and returns the present models in arrival
-/// order, validating the scenario invariants along the way. When
-/// \p slos_out is non-null it is filled with the per-stream SLOs (seconds,
-/// 0 = none) each present stream arrived with, index-aligned with the
-/// returned mix.
-std::vector<models::ModelId> replay(const std::vector<ScenarioEvent>& events,
-                                    std::size_t upto,
-                                    std::vector<double>* slos_out = nullptr) {
-  std::vector<models::ModelId> present;
-  std::vector<double> slos;
-  // Per-board health for the fault-event legality rules. Keyed by board
-  // index (the scenario layer does not know the fleet size); 'F' = failed,
-  // 'T' = throttled, absent = healthy.
-  std::map<std::size_t, char> board_state;
-  double prev_time = 0.0;
-  for (std::size_t i = 0; i < upto; ++i) {
-    const ScenarioEvent& e = events[i];
-    if (!std::isfinite(e.time_s) || e.time_s < 0.0)
-      throw std::invalid_argument(
-          "Scenario: event time must be finite and >= 0");
-    if (i > 0 && e.time_s < prev_time)
-      throw std::invalid_argument("Scenario: event times must be non-decreasing");
-    if (!(e.slo_ms >= 0.0) || !std::isfinite(e.slo_ms))
-      throw std::invalid_argument("Scenario: SLO must be finite and >= 0 ms");
-    prev_time = e.time_s;
-    if (is_fault_event(e.kind)) {
-      if (e.slo_ms != 0.0)
-        throw std::invalid_argument(
-            "Scenario: fault events cannot carry an SLO");
-      const auto state = board_state.find(e.board);
-      const bool failed = state != board_state.end() && state->second == 'F';
-      const bool throttled =
-          state != board_state.end() && state->second == 'T';
-      switch (e.kind) {
-        case ScenarioEventKind::kFailBoard:
-          if (e.factor != 0.0)
-            throw std::invalid_argument(
-                "Scenario: only throttle events carry a factor");
-          if (failed)
-            throw std::invalid_argument(
-                "Scenario: board " + std::to_string(e.board) +
-                " fails while already failed");
-          board_state[e.board] = 'F';
-          break;
-        case ScenarioEventKind::kThrottleBoard:
-          if (!(e.factor > 0.0) || !(e.factor <= 1.0) ||
-              !std::isfinite(e.factor))
-            throw std::invalid_argument(
-                "Scenario: throttle factor must be in (0, 1]");
-          if (failed)
-            throw std::invalid_argument(
-                "Scenario: board " + std::to_string(e.board) +
-                " throttles while failed");
-          board_state[e.board] = 'T';
-          break;
-        default:  // kRecoverBoard
-          if (e.factor != 0.0)
-            throw std::invalid_argument(
-                "Scenario: only throttle events carry a factor");
-          if (!failed && !throttled)
-            throw std::invalid_argument(
-                "Scenario: board " + std::to_string(e.board) +
-                " recovers while healthy");
-          board_state.erase(e.board);
-          break;
-      }
-      continue;  // fault events never touch the mix
+void ScenarioValidator::accept(const ScenarioEvent& e) {
+  // Every check runs before any member changes: a throw leaves the state
+  // exactly as it was (accept() is transactional).
+  if (!std::isfinite(e.time_s) || e.time_s < 0.0)
+    throw std::invalid_argument("Scenario: event time must be finite and >= 0");
+  if (e.time_s < last_time_s_)
+    throw std::invalid_argument("Scenario: event times must be non-decreasing");
+  if (!(e.slo_ms >= 0.0) || !std::isfinite(e.slo_ms))
+    throw std::invalid_argument("Scenario: SLO must be finite and >= 0 ms");
+  if (is_fault_event(e.kind)) {
+    if (e.slo_ms != 0.0)
+      throw std::invalid_argument("Scenario: fault events cannot carry an SLO");
+    const auto state = board_state_.find(e.board);
+    const bool failed = state != board_state_.end() && state->second == 'F';
+    const bool throttled = state != board_state_.end() && state->second == 'T';
+    switch (e.kind) {
+      case ScenarioEventKind::kFailBoard:
+        if (e.factor != 0.0)
+          throw std::invalid_argument(
+              "Scenario: only throttle events carry a factor");
+        if (failed)
+          throw std::invalid_argument("Scenario: board " +
+                                      std::to_string(e.board) +
+                                      " fails while already failed");
+        board_state_[e.board] = 'F';
+        break;
+      case ScenarioEventKind::kThrottleBoard:
+        if (!(e.factor > 0.0) || !(e.factor <= 1.0) || !std::isfinite(e.factor))
+          throw std::invalid_argument(
+              "Scenario: throttle factor must be in (0, 1]");
+        if (failed)
+          throw std::invalid_argument("Scenario: board " +
+                                      std::to_string(e.board) +
+                                      " throttles while failed");
+        board_state_[e.board] = 'T';
+        break;
+      default:  // kRecoverBoard
+        if (e.factor != 0.0)
+          throw std::invalid_argument(
+              "Scenario: only throttle events carry a factor");
+        if (!failed && !throttled)
+          throw std::invalid_argument("Scenario: board " +
+                                      std::to_string(e.board) +
+                                      " recovers while healthy");
+        board_state_.erase(e.board);
+        break;
     }
+  } else {  // arrive/depart; fault events never touch the mix
     if (e.board != 0 || e.factor != 0.0)
       throw std::invalid_argument(
           "Scenario: board/factor fields are fault-event-only");
-    const auto it = std::find(present.begin(), present.end(), e.model);
+    const auto it = std::find(present_.begin(), present_.end(), e.model);
     if (e.kind == ScenarioEventKind::kArrive) {
-      if (it != present.end())
+      if (it != present_.end())
         throw std::invalid_argument(
             "Scenario: model '" + std::string(models::model_name(e.model)) +
             "' arrives while already present");
-      present.push_back(e.model);
-      slos.push_back(e.slo_ms / 1e3);
+      present_.push_back(e.model);
+      slo_s_.push_back(e.slo_ms / 1e3);
     } else {
       if (e.slo_ms != 0.0)
         throw std::invalid_argument(
             "Scenario: departures cannot carry an SLO (model '" +
             std::string(models::model_name(e.model)) + "')");
-      if (it == present.end())
+      if (it == present_.end())
         throw std::invalid_argument(
             "Scenario: model '" + std::string(models::model_name(e.model)) +
             "' departs while absent");
-      slos.erase(slos.begin() + (it - present.begin()));
-      present.erase(it);
+      slo_s_.erase(slo_s_.begin() + (it - present_.begin()));
+      present_.erase(it);
     }
   }
-  if (slos_out != nullptr) *slos_out = std::move(slos);
-  return present;
+  last_time_s_ = e.time_s;
+  ++accepted_;
+}
+
+namespace {
+
+/// Runs events [0, upto) through a fresh validator — the mix and SLOs in
+/// effect after event upto - 1.
+ScenarioValidator replay(const std::vector<ScenarioEvent>& events,
+                         std::size_t upto) {
+  ScenarioValidator v;
+  for (std::size_t i = 0; i < upto; ++i) v.accept(events[i]);
+  return v;
 }
 
 }  // namespace
@@ -119,15 +108,13 @@ Scenario::Scenario(std::vector<ScenarioEvent> events)
 Workload Scenario::mix_after(std::size_t event_index) const {
   OB_REQUIRE(event_index < events_.size(),
              "Scenario::mix_after: event index out of range");
-  return Workload{replay(events_, event_index + 1)};
+  return Workload{replay(events_, event_index + 1).present()};
 }
 
 std::vector<double> Scenario::slo_after(std::size_t event_index) const {
   OB_REQUIRE(event_index < events_.size(),
              "Scenario::slo_after: event index out of range");
-  std::vector<double> slos;
-  replay(events_, event_index + 1, &slos);
-  return slos;
+  return replay(events_, event_index + 1).present_slo_s();
 }
 
 bool Scenario::has_slos() const {
@@ -302,17 +289,23 @@ std::string serialize_event_clause(const ScenarioEvent& e) {
   return out;
 }
 
-std::string serialize_scenario(const Scenario& scenario) {
-  std::string out = "# omniboost scenario trace v1\n";
+const char kScenarioTraceHeader[] = "# omniboost scenario trace v1\n";
+
+std::string serialize_event_line(const ScenarioEvent& e) {
   char buf[64];
-  for (const ScenarioEvent& e : scenario.events()) {
-    std::snprintf(buf, sizeof(buf), "%.17g", e.time_s);
-    out += "at ";
-    out += buf;
-    out += ' ';
-    out += serialize_event_clause(e);
-    out += '\n';
-  }
+  std::snprintf(buf, sizeof(buf), "%.17g", e.time_s);
+  std::string out = "at ";
+  out += buf;
+  out += ' ';
+  out += serialize_event_clause(e);
+  out += '\n';
+  return out;
+}
+
+std::string serialize_scenario(const Scenario& scenario) {
+  std::string out = kScenarioTraceHeader;
+  for (const ScenarioEvent& e : scenario.events())
+    out += serialize_event_line(e);
   return out;
 }
 

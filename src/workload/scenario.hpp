@@ -37,6 +37,7 @@
 /// scenarios serialize byte-identically to the pre-fault format.
 
 #include <iosfwd>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -89,9 +90,42 @@ struct ScenarioEvent {
   bool operator!=(const ScenarioEvent& rhs) const { return !(*this == rhs); }
 };
 
+/// The scenario invariants, checked one event at a time — THE event
+/// validator. The Scenario constructor, Scenario::mix_after/slo_after and
+/// the serving daemon's live command path all run events through it, so a
+/// live session cannot accept an event the offline replayer would reject
+/// (docs/DETERMINISM.md D6). It holds only what the rules need: the present
+/// mix with each stream's SLO, per-board health, and the last timestamp, so
+/// a check costs the same at the millionth event as at the first.
+class ScenarioValidator {
+ public:
+  /// Checks \p e against every event accepted so far and commits it.
+  /// Transactional: on a breach it throws std::invalid_argument (the
+  /// message the Scenario constructor reports) and leaves the state as it
+  /// was, so the next event is checked as if \p e had never been offered.
+  void accept(const ScenarioEvent& e);
+
+  /// The present streams in arrival order, and their SLOs (seconds, 0 =
+  /// none) index-aligned.
+  const std::vector<models::ModelId>& present() const { return present_; }
+  const std::vector<double>& present_slo_s() const { return slo_s_; }
+  /// Number of events accepted so far.
+  std::size_t accepted() const { return accepted_; }
+
+ private:
+  std::vector<models::ModelId> present_;
+  std::vector<double> slo_s_;
+  /// Per-board health keyed by board index (the scenario layer does not
+  /// know the fleet size): 'F' = failed, 'T' = throttled, absent = healthy.
+  std::map<std::size_t, char> board_state_;
+  double last_time_s_ = 0.0;
+  std::size_t accepted_ = 0;
+};
+
 /// A validated arrival/departure script over the model zoo.
 ///
-/// Invariants (enforced at construction, std::invalid_argument on breach):
+/// Invariants (enforced at construction through ScenarioValidator,
+/// std::invalid_argument on breach):
 /// timestamps are non-negative and non-decreasing, a model arrives only
 /// while absent and departs only while present (mixes stay duplicate-free,
 /// mirroring the embedding tensor's one-column-per-model layout), and the
@@ -180,11 +214,19 @@ ScenarioEvent parse_event_clause(const std::string& clause, double time_s);
 /// round-trip bit-exactly.
 std::string serialize_event_clause(const ScenarioEvent& e);
 
+/// The first line of every serialized trace (newline included).
+extern const char kScenarioTraceHeader[];
+
+/// One trace line: `at <time> ` + serialize_event_clause(e) + '\n', the
+/// time printed with "%.17g". serialize_scenario is the header followed by
+/// one such line per event, so a writer that appends lines to a file holding
+/// the header produces the identical bytes.
+std::string serialize_event_line(const ScenarioEvent& e);
+
 /// Writes the text trace form shown in the file header. Timestamps (and SLO
 /// values) are printed with "%.17g" so parse_scenario round-trips them
 /// bit-exactly; events without an SLO omit the `slo` clause entirely, so
-/// pre-SLO scenarios serialize byte-identically to the v1 format. Each line
-/// is `at <time> ` + serialize_event_clause(e).
+/// pre-SLO scenarios serialize byte-identically to the v1 format.
 std::string serialize_scenario(const Scenario& scenario);
 
 /// Parses the text trace format: one

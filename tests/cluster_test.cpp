@@ -734,6 +734,91 @@ TEST(ClusterFaults, FaultedRunsAreByteIdenticalAcrossReruns) {
             fingerprint(rebuilt.run(greedy_factory(rebuilt), s, *policy3)));
 }
 
+/// Greedy with its wall-clock decision latency zeroed, so two sessions'
+/// report texts (which print the summed seconds) compare byte for byte.
+class ZeroClockGreedy final : public core::IScheduler {
+ public:
+  explicit ZeroClockGreedy(const device::DeviceSpec& dev) : inner_(zoo(), dev) {}
+  std::string name() const override { return inner_.name(); }
+  core::ScheduleResult schedule(const workload::Workload& w) override {
+    core::ScheduleResult r = inner_.schedule(w);
+    r.decision_seconds = 0.0;
+    return r;
+  }
+  core::ScheduleResult reschedule(const workload::Workload& w,
+                                  const sim::Mapping& previous,
+                                  const core::ScheduleContext& ctx) override {
+    core::ScheduleResult r = inner_.reschedule(w, previous, ctx);
+    r.decision_seconds = 0.0;
+    return r;
+  }
+
+ private:
+  sched::GreedyScheduler inner_;
+};
+
+TEST(ClusterEpochHistory, AggregatesOnlySessionsReportIdenticallyUnderFaults) {
+  // The daemon keeps no per-epoch records (EpochHistory::kAggregatesOnly);
+  // its `status` text must still equal what a full-history session prints,
+  // after every event, on fault-heavy fleets — and every aggregate must
+  // match, with epoch_count standing in for epochs.size().
+  ClusterConfig cc;
+  cc.rebalance_on_recovery = true;
+  const Cluster cluster(zoo(), core::make_heterogeneous_fleet(3), cc);
+  const core::SchedulerFactory factory =
+      [&cluster](std::size_t i) -> std::unique_ptr<core::IScheduler> {
+    return std::make_unique<ZeroClockGreedy>(cluster.boards()[i].device);
+  };
+  for (const std::uint64_t seed : {61ull, 62ull, 63ull, 64ull}) {
+    workload::ArrivalProcess p;
+    p.rate_per_s = 0.6;
+    p.mean_lifetime_s = 8.0;
+    p.max_concurrent = 6;
+    p.slo_fraction = 0.3;
+    util::Rng rng(util::fork_stream(seed, 0));
+    const Scenario base = workload::sample_scenario(p, 40.0, rng);
+    ASSERT_FALSE(base.empty());
+    workload::FaultProcess fp;
+    fp.mtbf_s = 6.0;
+    fp.mttr_s = 3.0;
+    fp.throttle_fraction = 0.5;
+    const Scenario s = workload::with_faults(base, fp, 3, seed);
+    ASSERT_TRUE(s.has_faults());
+
+    const auto policy_full = core::make_placement_policy("least-loaded");
+    const auto policy_lean = core::make_placement_policy("least-loaded");
+    std::string full_text, lean_text;
+    ClusterReport full, lean;
+    {
+      // One session per Cluster at a time: run them one after the other.
+      core::ClusterSession session(cluster, factory, *policy_full);
+      for (const ScenarioEvent& e : s.events()) {
+        session.apply(e);
+        full_text += core::format_cluster_report(session.finish());
+      }
+      full = session.finish();
+    }
+    {
+      core::ClusterSession session(cluster, factory, *policy_lean,
+                                   core::EpochHistory::kAggregatesOnly);
+      for (const ScenarioEvent& e : s.events()) {
+        session.apply(e);
+        lean_text += core::format_cluster_report(session.finish());
+      }
+      lean = session.finish();
+    }
+    EXPECT_EQ(lean_text, full_text) << "seed " << seed;
+    for (std::size_t b = 0; b < full.boards.size(); ++b) {
+      EXPECT_TRUE(lean.boards[b].epochs.empty());
+      EXPECT_EQ(lean.boards[b].epoch_count, full.boards[b].epochs.size());
+      EXPECT_EQ(full.boards[b].epoch_count, full.boards[b].epochs.size());
+      full.boards[b].epochs.clear();
+    }
+    EXPECT_EQ(fingerprint(lean), fingerprint(full)) << "seed " << seed;
+    EXPECT_GT(full.board_failures + full.board_throttles, 0u);
+  }
+}
+
 TEST(ClusterConfigValidation, RejectsEmptyFleetAndNullFactory) {
   EXPECT_THROW(Cluster(zoo(), {}, ClusterConfig{}), std::invalid_argument);
   const Cluster cluster(zoo(), core::make_heterogeneous_fleet(1),

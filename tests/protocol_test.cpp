@@ -6,6 +6,9 @@
 // daemon crash).
 
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
 
 #include <atomic>
 #include <chrono>
@@ -219,6 +222,73 @@ TEST(Net, RejectsEmbeddedNewlineAndAcceptTimeout) {
   EXPECT_FALSE(none.valid());
   util::TcpStream client = util::tcp_connect("localhost", listener.port());
   EXPECT_THROW(client.send_line("two\nlines"), std::invalid_argument);
+}
+
+TEST(Net, AcceptedAndConnectedSocketsDisableNagle) {
+  // Without TCP_NODELAY a multi-segment reply stalls ~40 ms on the peer's
+  // delayed ACK; both ends of every connection must have it set.
+  util::TcpListener listener(0);
+  util::TcpStream client = util::tcp_connect("127.0.0.1", listener.port());
+  util::TcpStream server = listener.accept(2000);
+  ASSERT_TRUE(server.valid());
+  for (const util::TcpStream* s : {&client, &server}) {
+    int flag = 0;
+    socklen_t len = sizeof(flag);
+    ASSERT_EQ(::getsockopt(s->fd(), IPPROTO_TCP, TCP_NODELAY, &flag, &len),
+              0);
+    EXPECT_EQ(flag, 1);
+  }
+}
+
+TEST(Net, SendLinesDeliversAWholeReplyInOrder) {
+  util::TcpListener listener(0);
+  util::TcpStream client = util::tcp_connect("localhost", listener.port());
+  util::TcpStream server = listener.accept(2000);
+  ASSERT_TRUE(server.valid());
+  const std::vector<std::string> reply = {"admitted AlexNet", "", "ok"};
+  server.send_lines(reply);
+  for (const std::string& want : reply) {
+    std::string line;
+    ASSERT_EQ(client.recv_line(&line, 2000),
+              util::TcpStream::RecvStatus::kLine);
+    EXPECT_EQ(line, want);
+  }
+  EXPECT_THROW(server.send_lines({"fine", "two\nlines"}),
+               std::invalid_argument);
+}
+
+TEST(Net, OversizedLineIsRefusedNotBuffered) {
+  util::TcpListener listener(0);
+  util::TcpStream client = util::tcp_connect("127.0.0.1", listener.port());
+  util::TcpStream server = listener.accept(2000);
+  ASSERT_TRUE(server.valid());
+
+  // A long line under the 64 KiB bound still arrives whole.
+  const std::string long_ok(60 * 1024, 'a');
+  client.send_line(long_ok);
+  std::string line;
+  ASSERT_EQ(server.recv_line(&line, 2000),
+            util::TcpStream::RecvStatus::kLine);
+  EXPECT_EQ(line, long_ok);
+
+  // 1 MiB with no newline: the reader gives up past the bound instead of
+  // growing its buffer. The writer runs on its own thread because the
+  // reader stops draining; it ends when the reader closes (EPIPE/RST).
+  const int fd = client.fd();
+  std::thread writer([fd] {
+    const std::string flood(1 << 20, 'x');
+    std::size_t sent = 0;
+    while (sent < flood.size()) {
+      const ssize_t n = ::send(fd, flood.data() + sent, flood.size() - sent,
+                               MSG_NOSIGNAL);
+      if (n <= 0) return;
+      sent += static_cast<std::size_t>(n);
+    }
+  });
+  EXPECT_EQ(server.recv_line(&line, 5000),
+            util::TcpStream::RecvStatus::kTooLong);
+  server.close();
+  writer.join();
 }
 
 // --- ThreadPool async hook (the daemon's background-search slot).

@@ -1,12 +1,16 @@
 // workload::Scenario: generator determinism under fork_stream, generator
-// invariants, trace round-trips, validation errors, and mix replay.
+// invariants, trace round-trips, validation errors, mix replay, and parity
+// of the incremental ScenarioValidator with the Scenario constructor.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "util/rng.hpp"
 #include "workload/faults.hpp"
@@ -635,6 +639,186 @@ TEST(ScenarioReplay, MixAfterTracksArrivalOrderAndDepartures) {
   EXPECT_EQ(s.mix_after(3).describe(), "AlexNet+MobileNet");
   EXPECT_EQ(s.mix_after(5).size(), 0u);  // fully drained
   EXPECT_EQ(s.peak_concurrency(), 3u);
+}
+
+// --- Incremental validation parity (docs/DETERMINISM.md D6) -------------
+// The live daemon validates each command with ScenarioValidator::accept
+// against its current state instead of re-validating the whole recorded
+// trace. D6 needs the two to accept exactly the same sequences: on every
+// corpus sequence and every single-field mutation of it, Scenario(events)
+// throws iff incremental accept first throws at some index, with the same
+// message; a rejection leaves the state untouched; and mix_after/slo_after
+// match a naive replay at every index.
+
+/// The mix and SLOs (seconds) of a naive replay: arrivals append, departures
+/// erase, fault events leave the mix alone.
+struct ReferenceMix {
+  std::vector<ModelId> mix;
+  std::vector<double> slo_s;
+
+  void apply(const ScenarioEvent& e) {
+    if (workload::is_fault_event(e.kind)) return;
+    if (e.kind == ScenarioEventKind::kArrive) {
+      mix.push_back(e.model);
+      slo_s.push_back(e.slo_ms / 1e3);
+    } else {
+      const auto it = std::find(mix.begin(), mix.end(), e.model);
+      slo_s.erase(slo_s.begin() + (it - mix.begin()));
+      mix.erase(it);
+    }
+  }
+};
+
+/// Legal event sequences: seeded random scenarios, the same with fault
+/// processes woven in, and the daemon's wire corpus (the clauses
+/// tests/protocol_test.cpp round-trips, sent in order — several of them are
+/// illegal in sequence, which is the point).
+std::vector<std::vector<ScenarioEvent>> parity_corpus() {
+  std::vector<std::vector<ScenarioEvent>> corpus;
+  for (std::uint64_t i = 0; i < 12; ++i) {
+    util::Rng rng(util::fork_stream(9003, i));
+    ScenarioConfig cfg;
+    cfg.events = 10 + rng.below(30);
+    cfg.max_concurrent = 2 + rng.below(5);
+    cfg.slo_fraction = i % 2 == 0 ? 0.5 : 0.0;
+    const Scenario base = workload::random_scenario(rng, cfg);
+    corpus.push_back(base.events());
+    workload::FaultProcess fp;
+    fp.mtbf_s = rng.uniform(2.0, 10.0);
+    fp.mttr_s = rng.uniform(1.0, 5.0);
+    fp.throttle_fraction = rng.uniform(0.0, 1.0);
+    corpus.push_back(
+        workload::with_faults(base, fp, 1 + rng.below(3), i).events());
+  }
+  std::vector<ScenarioEvent> wire;
+  double t = 0.0;
+  for (const char* clause :
+       {"arrive MobileNet", "arrive VGG-19 slo 150", "arrive AlexNet slo 0.5",
+        "depart MobileNet", "fail board 0", "fail board 3",
+        "throttle board 1 0.5", "recover board 2",
+        "arrive ResNet-50 slo 100  # trailing comment", "recover board 0",
+        "depart VGG-19", "fail board 0", "throttle board 0 0.25"})
+    wire.push_back(workload::parse_event_clause(clause, t += 0.5));
+  corpus.push_back(wire);
+  return corpus;
+}
+
+/// Every single-field mutation of \p e.
+std::vector<ScenarioEvent> field_mutations(const ScenarioEvent& e) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<ScenarioEvent> out;
+  const auto with = [&](auto&& edit) {
+    ScenarioEvent m = e;
+    edit(m);
+    out.push_back(m);
+  };
+  for (const double t : {-1.0, nan, inf, 0.0, e.time_s + 1e3})
+    with([t](ScenarioEvent& m) { m.time_s = t; });
+  for (const ScenarioEventKind k :
+       {ScenarioEventKind::kArrive, ScenarioEventKind::kDepart,
+        ScenarioEventKind::kFailBoard, ScenarioEventKind::kThrottleBoard,
+        ScenarioEventKind::kRecoverBoard})
+    if (k != e.kind) with([k](ScenarioEvent& m) { m.kind = k; });
+  for (const std::size_t step : {1u, 5u})
+    with([step](ScenarioEvent& m) {
+      m.model = models::kAllModels[(static_cast<std::size_t>(m.model) + step) %
+                                   models::kNumModels];
+    });
+  for (const double slo : {0.0, 75.0, -1.0, inf, nan})
+    with([slo](ScenarioEvent& m) { m.slo_ms = slo; });
+  for (const std::size_t b : {0u, 1u, 5u})
+    with([b](ScenarioEvent& m) { m.board = b; });
+  for (const double f : {0.0, 0.5, 1.0, 1.5, nan})
+    with([f](ScenarioEvent& m) { m.factor = f; });
+  return out;
+}
+
+/// Checks one sequence; returns true when it is legal.
+bool check_parity(const std::vector<ScenarioEvent>& events,
+                  bool check_mix_after) {
+  workload::ScenarioValidator v;
+  ReferenceMix ref;
+  std::size_t rejected_at = events.size();
+  std::string message;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    try {
+      v.accept(events[i]);
+    } catch (const std::invalid_argument& err) {
+      rejected_at = i;
+      message = err.what();
+      break;
+    }
+    ref.apply(events[i]);
+    EXPECT_EQ(v.present(), ref.mix) << "index " << i;
+    EXPECT_EQ(v.present_slo_s(), ref.slo_s) << "index " << i;
+  }
+
+  std::string scenario_message;
+  try {
+    const Scenario s(events);
+    if (check_mix_after) {
+      ReferenceMix step;
+      for (std::size_t i = 0; i < s.size(); ++i) {
+        step.apply(events[i]);
+        EXPECT_EQ(s.mix_after(i).mix, step.mix) << "index " << i;
+        EXPECT_EQ(s.slo_after(i), step.slo_s) << "index " << i;
+      }
+    }
+  } catch (const std::invalid_argument& err) {
+    scenario_message = err.what();
+  }
+  EXPECT_EQ(scenario_message, message);
+  if (rejected_at == events.size()) {
+    EXPECT_EQ(v.accepted(), events.size());
+    return true;
+  }
+
+  // Transactional: the rejected validator is indistinguishable from one
+  // that was never offered the event...
+  workload::ScenarioValidator fresh;
+  for (std::size_t i = 0; i < rejected_at; ++i) fresh.accept(events[i]);
+  EXPECT_EQ(v.accepted(), rejected_at);
+  EXPECT_EQ(v.present(), fresh.present());
+  EXPECT_EQ(v.present_slo_s(), fresh.present_slo_s());
+  // ...rejects the same event again with the same message...
+  try {
+    v.accept(events[rejected_at]);
+    ADD_FAILURE() << "a rejected event was accepted on retry";
+  } catch (const std::invalid_argument& err) {
+    EXPECT_EQ(message, err.what());
+  }
+  // ...and takes a legal event next: an absent model arriving at the last
+  // accepted timestamp.
+  const double last_t = rejected_at == 0 ? 0.0 : events[rejected_at - 1].time_s;
+  for (const ModelId m : models::kAllModels) {
+    if (std::find(v.present().begin(), v.present().end(), m) !=
+        v.present().end())
+      continue;
+    EXPECT_NO_THROW(v.accept(ScenarioEvent{last_t, ScenarioEventKind::kArrive, m}));
+    EXPECT_EQ(v.accepted(), rejected_at + 1);
+    break;
+  }
+  return false;
+}
+
+TEST(ScenarioValidatorParity, IncrementalAcceptMatchesTheConstructorEverywhere) {
+  std::size_t legal = 0, illegal = 0;
+  for (const std::vector<ScenarioEvent>& base : parity_corpus()) {
+    (check_parity(base, true) ? legal : illegal)++;
+    for (std::size_t i = 0; i < base.size(); ++i) {
+      for (const ScenarioEvent& m : field_mutations(base[i])) {
+        std::vector<ScenarioEvent> mutated = base;
+        mutated[i] = m;
+        // mix_after at every index is quadratic; sample the legal mutants.
+        (check_parity(mutated, i % 4 == 0) ? legal : illegal)++;
+      }
+    }
+    if (HasFailure()) return;  // one broken sequence floods the log enough
+  }
+  // The corpus must exercise both outcomes to mean anything.
+  EXPECT_GT(legal, 1000u);
+  EXPECT_GT(illegal, 1000u);
 }
 
 }  // namespace

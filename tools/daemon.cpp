@@ -1,6 +1,8 @@
 #include "daemon.hpp"
 
 #include <cstdio>
+#include <fstream>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -33,12 +35,16 @@ std::string one_line(std::string text) {
   return text;
 }
 
-/// Splits a formatted report into reply lines (send_line forbids '\n').
+/// Splits a formatted report into reply lines (send_lines forbids '\n').
 void append_lines(std::vector<std::string>* reply, const std::string& text) {
   std::istringstream is(text);
   std::string line;
   while (std::getline(is, line)) reply->push_back(line);
 }
+
+struct FileCloser {
+  void operator()(std::FILE* f) const { std::fclose(f); }
+};
 
 class Daemon {
  public:
@@ -49,10 +55,16 @@ class Daemon {
         cluster_(&cluster),
         config_(config),
         clock_(config.time_scale),
-        session_(cluster, factory, policy),
+        session_(cluster, factory, policy,
+                 core::EpochHistory::kAggregatesOnly),
+        journal_(std::tmpfile()),
         bg_done_version_(cluster.boards().size(),
                          ~static_cast<std::uint64_t>(0)),
-        pool_(2) {}
+        pool_(2) {
+    if (!journal_)
+      throw std::runtime_error("cannot create the trace journal (tmpfile)");
+    std::fputs(workload::kScenarioTraceHeader, journal_.get());
+  }
 
   int run() {
     util::TcpListener listener(config_.port);
@@ -84,9 +96,15 @@ class Daemon {
         idle_tick();
         continue;
       }
-      const std::vector<std::string> reply = handle(line);
       try {
-        for (const std::string& r : reply) client.send_line(r);
+        if (st == util::TcpStream::RecvStatus::kTooLong) {
+          // Oversized input: refuse it and drop the client rather than
+          // buffer without limit; run() goes back to accepting.
+          client.send_line("err line too long");
+          return;
+        }
+        // One send() per reply: the whole reply leaves in one segment.
+        client.send_lines(handle(line));
       } catch (const std::runtime_error&) {
         return;  // client vanished mid-reply; the command already applied
       }
@@ -119,7 +137,7 @@ class Daemon {
         std::snprintf(head, sizeof(head),
                       "uptime: %.3f scenario-s (time-scale x%g) | "
                       "%zu events recorded",
-                      clock_.now_s(), clock_.scale(), recorded_.size());
+                      clock_.now_s(), clock_.scale(), validator_.accepted());
         reply.push_back(head);
         append_lines(&reply, core::format_cluster_report(session_.finish()));
         reply.push_back("ok");
@@ -128,10 +146,10 @@ class Daemon {
         is >> path;
         if (path.empty())
           throw std::invalid_argument("save-trace: missing path");
-        if (recorded_.empty())
+        if (validator_.accepted() == 0)
           throw std::invalid_argument("save-trace: no events recorded yet");
-        workload::save_scenario_file(workload::Scenario(recorded_), path);
-        reply.push_back("saved " + std::to_string(recorded_.size()) +
+        save_trace(path);
+        reply.push_back("saved " + std::to_string(validator_.accepted()) +
                         " events to " + path);
         reply.push_back("ok");
       } else {
@@ -145,11 +163,14 @@ class Daemon {
     return reply;
   }
 
-  /// The tentpole's single-parser rule: a daemon command is EXACTLY a trace
-  /// clause, parsed by the same workload::parse_event_clause the trace
-  /// loader uses, and validated by replaying the recorded prefix plus the
-  /// candidate through the Scenario constructor — the daemon cannot accept
-  /// a command the offline replayer would reject.
+  /// The single-parser rule: a daemon command is EXACTLY a trace clause,
+  /// parsed by the same workload::parse_event_clause the trace loader uses,
+  /// and validated by the same workload::ScenarioValidator the Scenario
+  /// constructor runs — the daemon cannot accept a command the offline
+  /// replayer would reject. The check touches only the validator's current
+  /// state, never the history, so it costs the same at any session length.
+  /// The validator commits only once the session applied the event, so a
+  /// failed apply leaves validator and journal in step.
   void apply_event(const std::string& line, std::vector<std::string>* reply) {
     const double t = clock_.now_s();
     const workload::ScenarioEvent e = workload::parse_event_clause(line, t);
@@ -157,13 +178,34 @@ class Daemon {
       throw std::invalid_argument(
           "board " + std::to_string(e.board) + " out of range (fleet has " +
           std::to_string(session_.size()) + " board(s))");
-    std::vector<workload::ScenarioEvent> candidate = recorded_;
-    candidate.push_back(e);
-    workload::Scenario validated(std::move(candidate));
-    const core::ClusterSession::ApplyOutcome out =
-        session_.apply(validated.events().back());
-    recorded_ = validated.events();
+    workload::ScenarioValidator next = validator_;
+    next.accept(e);
+    const core::ClusterSession::ApplyOutcome out = session_.apply(e);
+    validator_ = std::move(next);
+    std::fputs(workload::serialize_event_line(e).c_str(), journal_.get());
     reply->push_back(describe(e, out));
+  }
+
+  /// Copies the journal out: its bytes are kScenarioTraceHeader plus one
+  /// serialize_event_line per accepted event, i.e. exactly what
+  /// save_scenario_file would write for the recorded scenario.
+  void save_trace(const std::string& path) {
+    std::FILE* journal = journal_.get();
+    if (std::fflush(journal) != 0 || std::ferror(journal))
+      throw std::runtime_error("save-trace: the trace journal is unwritable");
+    std::ofstream out(path, std::ios::binary);
+    if (!out)
+      throw std::invalid_argument("cannot write scenario trace: " + path);
+    std::rewind(journal);
+    char buf[1 << 16];
+    std::size_t n = 0;
+    while ((n = std::fread(buf, 1, sizeof(buf), journal)) > 0)
+      out.write(buf, static_cast<std::streamsize>(n));
+    const bool read_ok = !std::ferror(journal);
+    std::fseek(journal, 0, SEEK_END);  // later events append again
+    out.flush();
+    if (!read_ok || !out)
+      throw std::invalid_argument("cannot write scenario trace: " + path);
   }
 
   std::string describe(const workload::ScenarioEvent& e,
@@ -259,7 +301,11 @@ class Daemon {
   DaemonConfig config_;
   util::PacedClock clock_;
   core::ClusterSession session_;
-  std::vector<workload::ScenarioEvent> recorded_;
+  // The recorded session: the validator's state for checking the next
+  // command, and an append-only anonymous temp file holding the trace text
+  // for save-trace. Nothing per command stays in memory.
+  workload::ScenarioValidator validator_;
+  std::unique_ptr<std::FILE, FileCloser> journal_;
   bool shutdown_ = false;
 
   // Background re-search state. bg_result_ is written by the pool worker

@@ -736,7 +736,7 @@ int run_serve(int argc, char** argv) {
         const core::ServingReport& br = rep.boards[i];
         util::Json j = util::Json::object();
         j.set("board", util::Json::string(rep.board_names[i]));
-        j.set("epochs", util::Json::number(br.epochs.size()));
+        j.set("epochs", util::Json::number(br.epoch_count));
         j.set("decisions", util::Json::number(br.decisions));
         j.set("mean_throughput_inf_s",
               util::Json::number(br.mean_throughput));

@@ -21,6 +21,13 @@
 #                  hosts known to matter for the kernels comparison; without
 #                  the flag a bench that silently dropped the simd column
 #                  would still pass. Requires --bench-smoke.
+#   --tsan         Run only the ThreadSanitizer lane instead of the steps
+#                  above: build the concurrent surfaces (daemon_test,
+#                  protocol_test, util_parallel_test, parallel_mcts_test and
+#                  omniboost_cli, which daemon_test drives) with
+#                  -fsanitize=thread in their own build directory
+#                  (<build>-tsan) and run those four suites. CI runs it as
+#                  its own matrix entry.
 #
 # Environment:
 #   OMNIBOOST_BUILD_DIR    build directory (default <repo>/build)
@@ -32,15 +39,21 @@ set -eu
 
 bench_smoke=0
 require_simd=0
+tsan=0
 for arg in "$@"; do
   case "$arg" in
     --bench-smoke) bench_smoke=1 ;;
     --require-simd) require_simd=1 ;;
+    --tsan) tsan=1 ;;
     *) echo "run_tier1.sh: unknown argument: $arg" >&2; exit 2 ;;
   esac
 done
 if [ "$require_simd" -eq 1 ] && [ "$bench_smoke" -eq 0 ]; then
   echo "run_tier1.sh: --require-simd requires --bench-smoke" >&2
+  exit 2
+fi
+if [ "$tsan" -eq 1 ] && [ "$bench_smoke" -eq 1 ]; then
+  echo "run_tier1.sh: --tsan runs alone; drop --bench-smoke" >&2
   exit 2
 fi
 
@@ -50,6 +63,25 @@ jobs="${OMNIBOOST_JOBS:-$(nproc 2>/dev/null || echo 2)}"
 
 echo "== layering lint =="
 sh "$root/tools/check_layering.sh"
+
+if [ "$tsan" -eq 1 ]; then
+  tsan_dir="$build_dir-tsan"
+  tsan_tests="daemon_test protocol_test util_parallel_test parallel_mcts_test"
+  echo "== ThreadSanitizer lane ($tsan_dir) =="
+  # shellcheck disable=SC2086
+  cmake -B "$tsan_dir" -S "$root" -DOMNIBOOST_TSAN=ON \
+    -DCMAKE_BUILD_TYPE=RelWithDebInfo -DOMNIBOOST_BUILD_BENCH=OFF \
+    -DOMNIBOOST_BUILD_EXAMPLES=OFF ${OMNIBOOST_CMAKE_FLAGS:-}
+  # shellcheck disable=SC2086
+  cmake --build "$tsan_dir" -j "$jobs" --target omniboost_cli $tsan_tests
+  # halt_on_error: the first race fails its suite instead of scrolling by.
+  (cd "$tsan_dir" &&
+    TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}" \
+    ctest --output-on-failure -j "$jobs" \
+      -R "^($(echo $tsan_tests | tr ' ' '|'))\$")
+  echo "== tier-1 TSan lane PASS =="
+  exit 0
+fi
 
 echo "== configure =="
 # Unquoted on purpose: OMNIBOOST_CMAKE_FLAGS is a word-split flag list.
