@@ -45,8 +45,8 @@ int main() {
       cfg.mcts.budget = budget;
       cfg.mcts.seed = kSeed;
       cfg.workers = workers;
-      cfg.batch_size = batched ? 16 : 1;
-      cfg.cache = batched;
+      cfg.mcts.batch_size = batched ? 16 : 1;
+      cfg.mcts.cache = batched;
       core::OmniBoostScheduler omni(ctx.zoo(), ctx.embedding(),
                                     ctx.estimator(), cfg);
       double latency = 0.0, quality = 0.0;
@@ -62,8 +62,8 @@ int main() {
         quality += ctx.measure(w, r.mapping) / tb;
       }
       t.add_row(
-          {std::to_string(workers), std::to_string(cfg.batch_size),
-           cfg.cache ? "on" : "off",
+          {std::to_string(workers), std::to_string(cfg.mcts.batch_size),
+           cfg.mcts.cache ? "on" : "off",
            util::fmt(1e3 * latency / static_cast<double>(mixes.size()), 1),
            util::fmt(quality / static_cast<double>(mixes.size()), 2),
            std::to_string(evals), std::to_string(hits)});

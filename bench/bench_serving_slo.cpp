@@ -81,7 +81,7 @@ core::OmniBoostConfig omni_config(std::uint64_t seed) {
   core::OmniBoostConfig cfg;
   cfg.mcts.budget = bench::scaled(500, 48);
   cfg.mcts.seed = seed;
-  cfg.batch_size = 8;  // batched evaluate path (decision-identical)
+  cfg.mcts.batch_size = 8;  // batched evaluate path (decision-identical)
   return cfg;
 }
 

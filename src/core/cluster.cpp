@@ -598,7 +598,6 @@ ClusterReport ClusterSession::finish() const {
     report.total_evaluations += b.total_evaluations;
     report.total_cache_hits += b.total_cache_hits;
     report.total_des_replays += b.total_des_replays;
-    report.total_replay_hits += b.total_replay_hits;
     report.total_migrated_segments += b.total_migrated_segments;
     report.total_migration_stall_s += b.total_migration_stall_s;
   }

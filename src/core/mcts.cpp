@@ -216,10 +216,8 @@ MctsResult Mcts::search() {
   // GPU->CPU->GPU and CPU->GPU->GPU can reach distinct tree nodes whose
   // completed rollouts render to the same Mapping; the memo keys on the
   // mapping's canonical hash so the evaluator runs once per distinct
-  // mapping, not once per rollout. Warm-started searches substitute an
-  // external memo so rewards survive across incremental decisions.
-  EvaluationMemo local_memo;
-  EvaluationMemo& memo = warm_.memo != nullptr ? *warm_.memo : local_memo;
+  // mapping, not once per rollout.
+  EvaluationMemo memo;
   const bool warm = !warm_.prior.empty();
 
   // One queued leaf evaluation of the current expansion wave.

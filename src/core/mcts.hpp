@@ -59,10 +59,8 @@ struct MctsConfig {
   /// evaluator runs. 1 reproduces the paper's strictly sequential
   /// select-evaluate-backpropagate loop bit-for-bit; larger waves trade a
   /// slightly staler tree policy (queued leaves carry a virtual visit until
-  /// their reward lands) for batched evaluator calls.
-  /// When searching through OmniBoostScheduler, set this and `cache` on
-  /// OmniBoostConfig instead — schedule() forwards both from there and
-  /// rejects non-default values set here.
+  /// their reward lands) for batched evaluator calls — see
+  /// bench_runtime_overhead's batched-vs-scalar columns.
   std::size_t batch_size = 1;
   /// Memoize rewards by canonical mapping hash (sim::Mapping::hash), so a
   /// rollout that reaches an already-scored mapping never re-runs the
@@ -86,15 +84,15 @@ struct MctsConfig {
   std::shared_ptr<const std::vector<std::uint8_t>> action_mask;
 };
 
-/// The evaluation memo's container type (mapping -> evaluator reward). The
-/// search owns a private memo by default; warm-started incremental searches
-/// (core::ServingRuntime path) hand one in so rewards carry over across
-/// decisions on the same workload.
+/// The evaluation memo's container type (mapping -> evaluator reward). Each
+/// Mcts::search call owns a fresh one (the transposition cache behind
+/// MctsConfig::cache); no memo outlives its search, so no reward is ever
+/// carried from one decision to the next.
 using EvaluationMemo =
     std::unordered_map<sim::Mapping, double, sim::MappingHasher>;
 
 /// Warm-start inputs for an incremental search. Default-constructed
-/// (empty prior, null memo) means a cold search — the bit-frozen paper path.
+/// (empty prior) means a cold search — the bit-frozen paper path.
 struct MctsWarmStart {
   /// Suggested component per decision in the search's flattened
   /// (dnn-after-dnn, layer-after-layer) order; -1 = no suggestion (layers of
@@ -108,11 +106,6 @@ struct MctsWarmStart {
   /// instead of drawing uniformly. Concentrates the shrunken incremental
   /// budget near the previous mapping (low churn) while still exploring.
   double prior_bias = 0.75;
-  /// When non-null the search reads/writes this memo instead of a private
-  /// one, carrying evaluator rewards across decisions. Only meaningful with
-  /// MctsConfig::cache; the caller must guarantee every memo entry came from
-  /// the SAME workload and evaluator (rewards are replayed verbatim).
-  EvaluationMemo* memo = nullptr;
 };
 
 /// Search outcome.

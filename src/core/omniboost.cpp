@@ -1,45 +1,16 @@
 #include "core/omniboost.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
-#include <cstring>
 #include <sstream>
 #include <utility>
 
 #include "sim/des.hpp"
 #include "sim/migration.hpp"
+#include "util/clock.hpp"
 #include "util/require.hpp"
 
 namespace omniboost::core {
-
-namespace {
-
-/// Wall-clock helper.
-class StopWatch {
- public:
-  StopWatch() : start_(std::chrono::steady_clock::now()) {}
-  double seconds() const {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         start_)
-        .count();
-  }
-
- private:
-  std::chrono::steady_clock::time_point start_;
-};
-
-/// IEEE-754 bit pattern of a double — the replay-memo key fingerprints
-/// delays/throttle through this so hashing and equality agree on every
-/// value (raw doubles would hash 0.0 and -0.0 apart yet compare equal).
-std::uint64_t double_bits(double v) {
-  std::uint64_t bits;
-  static_assert(sizeof(bits) == sizeof(v), "double is not 64-bit");
-  std::memcpy(&bits, &v, sizeof(bits));
-  return bits;
-}
-
-}  // namespace
 
 OmniBoostScheduler::OmniBoostScheduler(
     const models::ModelZoo& zoo, const EmbeddingTensor& embedding,
@@ -82,24 +53,10 @@ BatchMappingEvaluator OmniBoostScheduler::batch_evaluator(
   };
 }
 
-MctsConfig OmniBoostScheduler::make_mcts_config() const {
-  // The scheduler-level batching/caching knobs ride on the generic search
-  // config; OmniBoostConfig is the authoritative surface for both. Reject
-  // values smuggled in through the sub-config instead of silently
-  // overwriting them.
-  OB_REQUIRE(config_.mcts.batch_size == 1 && config_.mcts.cache,
-             "OmniBoostScheduler: set batch_size/cache on OmniBoostConfig "
-             "itself, not on its mcts sub-config");
-  MctsConfig mcts = config_.mcts;
-  mcts.batch_size = config_.batch_size;
-  mcts.cache = config_.cache;
-  return mcts;
-}
-
 ScheduleResult OmniBoostScheduler::schedule(const workload::Workload& w) {
   OB_REQUIRE(w.size() > 0, "OmniBoostScheduler::schedule: empty workload");
-  const StopWatch timer;
-  const MctsConfig mcts = make_mcts_config();
+  const util::PacedClock timer;
+  const MctsConfig& mcts = config_.mcts;
   const std::shared_ptr<const ThroughputEstimator> active = active_estimator();
 
   MctsResult r;
@@ -132,7 +89,7 @@ ScheduleResult OmniBoostScheduler::schedule(const workload::Workload& w) {
   out.expected_reward = r.best_reward;
   out.evaluations = r.evaluations;
   out.cache_hits = r.cache_hits;
-  out.decision_seconds = timer.seconds();
+  out.decision_seconds = timer.now_s();
   return out;
 }
 
@@ -145,10 +102,10 @@ ScheduleResult OmniBoostScheduler::reschedule(const workload::Workload& w,
              "OmniBoostScheduler::reschedule: carried_from arity mismatch");
   OB_REQUIRE(config_.rollout_fraction > 0.0 && config_.rollout_fraction <= 1.0,
              "OmniBoostScheduler: rollout_fraction must be in (0, 1]");
-  const StopWatch timer;
+  const util::PacedClock timer;
 
   // Incremental budget: a fraction of the cold budget, never below 1.
-  MctsConfig mcts = make_mcts_config();
+  MctsConfig mcts = config_.mcts;
   mcts.budget = std::max<std::size_t>(
       1, static_cast<std::size_t>(
              std::llround(config_.rollout_fraction *
@@ -188,51 +145,21 @@ ScheduleResult OmniBoostScheduler::reschedule(const workload::Workload& w,
       std::any_of(ctx.slo_s.begin(), ctx.slo_s.end(),
                   [](double s) { return s > 0.0; });
 
-  // Mix signature: keys both the carried evaluation memos and the replay
-  // memos below.
-  std::string signature;
-  for (const models::ModelId id : w.mix) {
-    signature += std::to_string(models::model_index(id));
-    signature += ',';
-  }
-
   // Candidate nets for the SLO replays, resolved ONCE per decision at
   // function scope. The resolution depends only on the workload; rebuilding
   // it inside the replay closure would redo the zoo lookups for every
   // expansion wave of the search.
   sim::NetworkList slo_nets;
 
-  // Replay accounting: {executed DES replays, memo hits}. Shared with the
-  // wrapper closure so the counts survive the evaluator handoff into Mcts.
-  const auto replay_stats =
-      std::make_shared<std::pair<std::size_t, std::size_t>>();
+  // Executed DES replays, counted by the wrapper closure below (captured by
+  // reference like slo_nets: the search finishes inside this function).
+  std::size_t des_replays = 0;
 
   BatchMappingEvaluator evaluator = batch_evaluator(w, active_estimator());
   if (slo_aware) {
     OB_REQUIRE(config_.slo_shape > 0.0 && config_.slo_shape <= 1.0,
                "OmniBoostScheduler: slo_shape must be in (0, 1]");
     slo_nets = w.resolve(*zoo_);
-
-    // Replay memo: a DES replay trace is a pure function of (mix, mapping,
-    // start delays, board throttle) — the SLO vector only interprets the
-    // trace, and violations are recomputed below from the CURRENT slo — so
-    // traces memoized under that key replay bit-exactly across decisions on
-    // the same mix. The fresh-per-reschedule Mcts replays its fixed rollout
-    // seed, so a repeated warm decision re-proposes the same candidates and
-    // answers them from here. Validity: the key assumes one board and one
-    // SLO contract; drop everything when either moves (set_config() also
-    // clears).
-    ReplayMemo* memo = nullptr;
-    if (config_.replay_memo) {
-      if (replay_board_ != ctx.board || replay_slo_ != ctx.slo_s) {
-        replay_memos_.clear();
-        replay_board_ = ctx.board;
-        replay_slo_ = ctx.slo_s;
-      }
-      ReplayMemo& slot = replay_memos_[signature];
-      slot.last_used = ++memo_clock_;
-      memo = &slot;
-    }
 
     // Wrap the estimator evaluator: DES-replay each candidate and shape
     // down / hard-prune SLO breakers. A stream that serves no frame inside
@@ -247,49 +174,24 @@ ScheduleResult OmniBoostScheduler::reschedule(const workload::Workload& w,
                  migration = ctx.migration, &nets = slo_nets,
                  slo = ctx.slo_s, previous, carried = ctx.carried_from,
                  shape = config_.slo_shape, hard = config_.slo_hard_prune,
-                 memo, stats = replay_stats](
+                 &replays = des_replays](
                     const std::vector<sim::Mapping>& mappings) {
       std::vector<double> rewards = base(mappings);
-      const std::uint64_t throttle_bits = double_bits(board->throttle());
       for (std::size_t i = 0; i < mappings.size(); ++i) {
         std::vector<double> delays;
         if (migration != nullptr && migration->enabled())
           delays = migration->assess(nets, previous, carried, mappings[i])
                        .stream_delay_s;
-        // Serve the replay from the memo when possible; memoized traces are
-        // the exact TracedResult doubles of the original run, so the shaped
-        // rewards below are bit-identical memo-on vs memo-off.
-        const sim::DesSimulator::TracedResult* replay = nullptr;
-        sim::DesSimulator::TracedResult fresh;
-        if (memo != nullptr) {
-          ReplayKey key;
-          key.mapping = mappings[i];
-          key.throttle_bits = throttle_bits;
-          key.delay_bits.reserve(delays.size());
-          for (const double d : delays) key.delay_bits.push_back(double_bits(d));
-          const auto it = memo->entries.find(key);
-          if (it != memo->entries.end()) {
-            ++stats->second;  // memo hit
-            replay = &it->second;
-          } else {
-            ++stats->first;  // executed replay
-            const auto ins = memo->entries.emplace(
-                std::move(key),
-                board->simulate_traced(nets, mappings[i], delays));
-            replay = &ins.first->second;
-          }
-        } else {
-          ++stats->first;
-          fresh = board->simulate_traced(nets, mappings[i], delays);
-          replay = &fresh;
-        }
+        ++replays;
+        const sim::DesSimulator::TracedResult replay =
+            board->simulate_traced(nets, mappings[i], delays);
         std::size_t violations = 0;
         for (std::size_t d = 0; d < slo.size(); ++d) {
           // sim::breaks_slo is the SAME predicate the serving runtime
           // counts violations with — the search must never optimize a
           // different definition of "violating" than the one it is
           // measured against.
-          if (sim::breaks_slo(replay->report, replay->trace, d, slo[d]))
+          if (sim::breaks_slo(replay.report, replay.trace, d, slo[d]))
             ++violations;
         }
         if (violations == 0) continue;
@@ -317,97 +219,19 @@ ScheduleResult OmniBoostScheduler::reschedule(const workload::Workload& w,
     };
   }
 
-  // Memo carry-over: estimator rewards are a pure function of
-  // (workload, mapping), so the memo is keyed by the mix signature and
-  // revived whenever the scenario returns to a mix it has scheduled before.
-  // SLO-shaped rewards additionally depend on the previous mapping and the
-  // epoch's SLOs, so SLO-aware decisions bypass the carried memos entirely
-  // (private per-decision memo) rather than poison them — the replay memo
-  // above carries the SLO-independent DES traces instead.
-  const bool carry_memo = config_.cache && !slo_aware;
-  if (carry_memo) {
-    CarriedMemo& carried = carried_memos_[signature];
-    carried.last_used = ++memo_clock_;
-    warm.memo = &carried.memo;
-  }
-
-  // Single tree on purpose: the incremental budget is already small, and
-  // root-parallel trees cannot share the carried memo (the private-memo
-  // rule of the parallel search).
+  // Single tree on purpose: the incremental budget is already small.
   Mcts search(counts, std::move(evaluator), mcts);
   search.set_warm_start(std::move(warm));
   const MctsResult r = search.search();
-  if (carry_memo) evict_carried_memos(signature);
-  if (slo_aware && config_.replay_memo) evict_replay_memos(signature);
 
   ScheduleResult out;
   out.mapping = r.best_mapping;
   out.expected_reward = r.best_reward;
   out.evaluations = r.evaluations;
   out.cache_hits = r.cache_hits;
-  out.des_replays = replay_stats->first;
-  out.replay_hits = replay_stats->second;
-  out.decision_seconds = timer.seconds();
+  out.des_replays = des_replays;
+  out.decision_seconds = timer.now_s();
   return out;
-}
-
-std::size_t OmniBoostScheduler::carried_memo_footprint() const {
-  std::size_t entries = 0;
-  for (const auto& [signature, carried] : carried_memos_) {
-    (void)signature;
-    entries += carried.memo.size();
-  }
-  return entries;
-}
-
-std::size_t OmniBoostScheduler::replay_memo_footprint() const {
-  std::size_t entries = 0;
-  for (const auto& [signature, memo] : replay_memos_) {
-    (void)signature;
-    entries += memo.entries.size();
-  }
-  return entries;
-}
-
-void OmniBoostScheduler::evict_replay_memos(const std::string& keep) {
-  if (config_.replay_memo_entries == 0) return;  // unbounded
-  // Same policy as evict_carried_memos: drop whole least-recently-used
-  // mixes' memos, never the mix just rescheduled.
-  while (replay_memo_footprint() > config_.replay_memo_entries &&
-         replay_memos_.size() > 1) {
-    auto victim = replay_memos_.end();
-    for (auto it = replay_memos_.begin(); it != replay_memos_.end(); ++it) {
-      if (it->first == keep) continue;
-      if (victim == replay_memos_.end() ||
-          it->second.last_used < victim->second.last_used) {
-        victim = it;
-      }
-    }
-    if (victim == replay_memos_.end()) break;
-    replay_memos_.erase(victim);
-  }
-}
-
-void OmniBoostScheduler::evict_carried_memos(const std::string& keep) {
-  if (config_.carried_memo_entries == 0) return;  // unbounded
-  // Long serving sessions touch many mixes; bound the retained footprint by
-  // dropping whole least-recently-rescheduled memos. The just-used mix is
-  // never dropped, so a single busy mix may exceed the cap by itself — its
-  // memo is bounded by the distinct mappings the shrunken warm budget can
-  // reach, and dropping it would only forfeit the carry-over benefit.
-  while (carried_memo_footprint() > config_.carried_memo_entries &&
-         carried_memos_.size() > 1) {
-    auto victim = carried_memos_.end();
-    for (auto it = carried_memos_.begin(); it != carried_memos_.end(); ++it) {
-      if (it->first == keep) continue;
-      if (victim == carried_memos_.end() ||
-          it->second.last_used < victim->second.last_used) {
-        victim = it;
-      }
-    }
-    if (victim == carried_memos_.end()) break;
-    carried_memos_.erase(victim);
-  }
 }
 
 MctsScheduler::MctsScheduler(std::string name, const models::ModelZoo& zoo,
@@ -421,7 +245,7 @@ MctsScheduler::MctsScheduler(std::string name, const models::ModelZoo& zoo,
 
 ScheduleResult MctsScheduler::schedule(const workload::Workload& w) {
   OB_REQUIRE(w.size() > 0, "MctsScheduler::schedule: empty workload");
-  const StopWatch timer;
+  const util::PacedClock timer;
   Mcts search(w.layer_counts(*zoo_), evaluator_, config_);
   const MctsResult r = search.search();
 
@@ -430,7 +254,7 @@ ScheduleResult MctsScheduler::schedule(const workload::Workload& w) {
   out.expected_reward = r.best_reward;
   out.evaluations = r.evaluations;
   out.cache_hits = r.cache_hits;
-  out.decision_seconds = timer.seconds();
+  out.decision_seconds = timer.now_s();
   return out;
 }
 

@@ -4,10 +4,7 @@
 /// throughput estimator (paper Fig. 2, steps 4-8). This is the framework's
 /// primary public entry point; see examples/quickstart.cpp.
 
-#include <cstdint>
 #include <memory>
-#include <unordered_map>
-#include <vector>
 
 #include "core/embedding.hpp"
 #include "core/estimator.hpp"
@@ -19,33 +16,19 @@ namespace omniboost::core {
 
 /// OmniBoost run-time controls.
 struct OmniBoostConfig {
-  /// Search controls (paper defaults: budget 500, depth 100, limit 3).
-  /// Note: leave its batch_size/cache fields at their defaults here — the
-  /// scheduler-level knobs below are the single source of truth, schedule()
-  /// forwards them into the search config, and non-default values smuggled
-  /// in through this sub-config are rejected (std::invalid_argument) rather
-  /// than silently overwritten.
+  /// Search controls (paper defaults: budget 500, depth 100, limit 3),
+  /// including the expansion-wave width (mcts.batch_size) and the per-search
+  /// evaluation memo (mcts.cache).
   MctsConfig mcts;
   /// Root-parallel search workers. 1 reproduces the paper's sequential
   /// search; N > 1 splits the budget over N independent trees, each with a
   /// private clone of the estimator (the CNN forward pass is stateful), and
   /// cuts the decision latency by ~N at comparable quality.
   std::size_t workers = 1;
-  /// Leaf evaluations batched per estimator forward pass (the MCTS
-  /// expansion-wave width; forwarded into MctsConfig::batch_size by
-  /// schedule()). 1 reproduces the paper's sequential search bit-for-bit;
-  /// larger values amortize the CNN traversal over the wave — see
-  /// bench_runtime_overhead's batched-vs-scalar columns.
-  std::size_t batch_size = 1;
-  /// Memoize estimator rewards by mapping hash (forwarded into
-  /// MctsConfig::cache). Rewards for repeated mappings are replayed
-  /// bit-exactly, so this changes only the evaluations/cache_hits split,
-  /// never the decision.
-  bool cache = true;
   /// Compute kernel for the estimator's CNN layers (nn/kernel.hpp).
   /// schedule() runs the search against an estimator with this kernel kind,
   /// cloning the shared instance on mismatch (the shared estimator is never
-  /// mutated). kReference together with {batch_size = 1, workers = 1}
+  /// mutated). kReference together with {mcts.batch_size = 1, workers = 1}
   /// reproduces the paper's sequential search bit-for-bit; kGemm is faster
   /// and deterministic, matching within float rounding (<= 1e-6).
   nn::KernelKind kernel = nn::default_kernel();
@@ -63,12 +46,6 @@ struct OmniBoostConfig {
   /// layers of newly arrived streams) instead of scattering single-layer
   /// flips that fragment pipeline stages.
   double prior_bias = 0.9;
-  /// Retention cap on the carried evaluation memos, in total mapping->reward
-  /// entries across all mixes. Long serving sessions visit many mixes;
-  /// when the cap is exceeded the least-recently-rescheduled mixes' memos
-  /// are dropped (the current mix is always kept). Dropping a memo costs
-  /// re-evaluation only, never correctness. 0 = unbounded.
-  std::size_t carried_memo_entries = 200'000;
   /// SLO reward shaping in warm reschedule(): when the context carries
   /// latency SLOs AND a board model, every candidate mapping is DES-replayed
   /// (with the context's migration stalls applied, if any) and candidates
@@ -85,21 +62,6 @@ struct OmniBoostConfig {
   /// never outrank a clean one. The search still returns SOME mapping when
   /// every candidate violates (least-violating, estimator-best among ties).
   bool slo_hard_prune = false;
-  /// Replay memoization for SLO-shaped warm decisions: DES replay traces
-  /// are a pure function of (mix, candidate mapping, per-stream start
-  /// delays, board throttle) — SLOs only interpret the trace — so replays
-  /// are memoized under exactly that key and carried across reschedule()
-  /// calls on the same mix. A repeated warm decision answers its candidate
-  /// replays from the memo (ScheduleResult::replay_hits) instead of
-  /// re-running the DES; decisions are bit-identical with the memo on or
-  /// off (pinned by tests/replay_memo_test.cpp). The memo is dropped
-  /// whenever its purity inputs may have moved: set_config(), a different
-  /// board instance, or a changed SLO vector (conservative — SLOs don't
-  /// enter the key, but a changed contract is the natural epoch boundary).
-  bool replay_memo = true;
-  /// Retention cap on the replay memos, in total key->trace entries across
-  /// all mixes (LRU by mix, like carried_memo_entries). 0 = unbounded.
-  std::size_t replay_memo_entries = 50'000;
 };
 
 /// Production scheduler: estimator-guided Monte Carlo Tree Search.
@@ -119,11 +81,12 @@ class OmniBoostScheduler final : public IScheduler {
 
   /// Warm-started incremental decision (serving runtime path): surviving
   /// streams' previous assignments become the search prior, the budget
-  /// shrinks to rollout_fraction of the cold budget, and the evaluation
-  /// memo carries over between decisions on the same mix (cache hits from
-  /// earlier epochs are counted in ScheduleResult::cache_hits). Runs a
-  /// single search tree regardless of OmniBoostConfig::workers — splitting
-  /// an already-shrunken budget over root-parallel trees starves each one.
+  /// shrinks to rollout_fraction of the cold budget, and the search keeps
+  /// no state across calls: each decision starts from a fresh evaluation
+  /// memo, so re-deciding the same (w, previous, ctx) repeats the decision
+  /// and its accounting exactly. Runs a single search tree regardless of
+  /// OmniBoostConfig::workers — splitting an already-shrunken budget over
+  /// root-parallel trees starves each one.
   /// With ctx.warm_start == false this is exactly schedule(w).
   ///
   /// SLO/churn awareness: when ctx.slo_s names at least one SLO and
@@ -131,35 +94,13 @@ class OmniBoostScheduler final : public IScheduler {
   /// (OmniBoostConfig::slo_shape / slo_hard_prune), with ctx.migration's
   /// per-candidate stalls applied — they reject candidates whose own churn
   /// would starve an SLO stream for the whole window (cheaper stalls price
-  /// into the runtime's measured T, not latency). Shaped rewards
-  /// depend on (previous mapping, SLOs) — not only on (mix, mapping) — so
-  /// the per-mix carried memo is bypassed for such decisions and a private
-  /// memo is used instead; the carried memos are neither read nor written.
+  /// into the runtime's measured T, not latency). Every distinct candidate
+  /// is replayed once (ScheduleResult::des_replays == evaluations).
   /// With no SLOs in the context this path is bit-identical to the pre-SLO
   /// reschedule (pinned by tests/serving_test.cpp).
   ScheduleResult reschedule(const workload::Workload& w,
                             const sim::Mapping& previous,
                             const ScheduleContext& ctx) override;
-
-  /// Replaces the search configuration (budget sweeps in the ablations).
-  /// Drops the carried evaluation memos AND the replay memos: a new kernel
-  /// or evaluator setup may score mappings differently, and replayed
-  /// rewards/traces must stay exact.
-  void set_config(const OmniBoostConfig& config) {
-    config_ = config;
-    carried_memos_.clear();
-    replay_memos_.clear();
-    replay_board_ = nullptr;
-    replay_slo_.clear();
-  }
-
-  /// Total mapping->reward entries currently retained across the carried
-  /// memos (diagnostics; tests pin the eviction policy through this).
-  std::size_t carried_memo_footprint() const;
-
-  /// Total key->trace entries currently retained across the replay memos
-  /// (diagnostics; tests pin the purity/eviction contract through this).
-  std::size_t replay_memo_footprint() const;
 
  private:
   /// The estimator instance the search should query: the shared one when
@@ -172,73 +113,11 @@ class OmniBoostScheduler final : public IScheduler {
   BatchMappingEvaluator batch_evaluator(
       const workload::Workload& w,
       std::shared_ptr<const ThroughputEstimator> est) const;
-  /// Forwards the scheduler-level batching/caching knobs into the generic
-  /// search config (rejecting values smuggled into the sub-config).
-  MctsConfig make_mcts_config() const;
-
-  /// Drops least-recently-used mixes' memos until the configured entry cap
-  /// holds again (keeping \p keep, the mix just rescheduled).
-  void evict_carried_memos(const std::string& keep);
-  /// Same policy for the replay memos (cap: replay_memo_entries).
-  void evict_replay_memos(const std::string& keep);
 
   const models::ModelZoo* zoo_;
   const EmbeddingTensor* embedding_;
   std::shared_ptr<const ThroughputEstimator> estimator_;
   OmniBoostConfig config_;
-  /// One carried evaluation memo with its LRU stamp.
-  struct CarriedMemo {
-    EvaluationMemo memo;
-    std::uint64_t last_used = 0;
-  };
-  /// Per-mix evaluation memos carried across reschedule() calls, keyed by
-  /// the mix signature (ordered model indices). Estimator rewards are a
-  /// pure function of (workload, mapping), so a memo is valid for every
-  /// later decision on the same mix; cold schedule() never touches these.
-  /// Bounded by OmniBoostConfig::carried_memo_entries (LRU per mix).
-  std::unordered_map<std::string, CarriedMemo> carried_memos_;
-  std::uint64_t memo_clock_ = 0;
-
-  /// Purity key of one DES candidate replay. The delays and the throttle
-  /// are fingerprinted to their IEEE-754 bit patterns at construction so
-  /// hashing and equality agree on every value the DES could see (a raw
-  /// double key would hash 0.0 and -0.0 apart while comparing them equal).
-  struct ReplayKey {
-    sim::Mapping mapping;
-    std::vector<std::uint64_t> delay_bits;
-    std::uint64_t throttle_bits = 0;
-    bool operator==(const ReplayKey& rhs) const {
-      return throttle_bits == rhs.throttle_bits &&
-             delay_bits == rhs.delay_bits && mapping == rhs.mapping;
-    }
-  };
-  struct ReplayKeyHasher {
-    std::size_t operator()(const ReplayKey& k) const {
-      // FNV-1a over the delay/throttle bits, seeded by the mapping hash.
-      std::uint64_t h = k.mapping.hash() ^ 0xcbf29ce484222325ULL;
-      const auto mix = [&h](std::uint64_t v) {
-        h ^= v;
-        h *= 0x100000001b3ULL;
-      };
-      mix(k.throttle_bits);
-      for (const std::uint64_t b : k.delay_bits) mix(b);
-      return static_cast<std::size_t>(h);
-    }
-  };
-  /// One per-mix replay memo with its LRU stamp.
-  struct ReplayMemo {
-    std::unordered_map<ReplayKey, sim::DesSimulator::TracedResult,
-                       ReplayKeyHasher>
-        entries;
-    std::uint64_t last_used = 0;
-  };
-  /// Per-mix DES replay memos carried across SLO-aware reschedule() calls,
-  /// keyed by the mix signature like carried_memos_. Valid only while the
-  /// board and the SLO vector below still match the context (checked per
-  /// decision; cleared on mismatch and by set_config()).
-  std::unordered_map<std::string, ReplayMemo> replay_memos_;
-  const sim::DesSimulator* replay_board_ = nullptr;
-  std::vector<double> replay_slo_;
 };
 
 /// Generic search-based scheduler around an arbitrary mapping evaluator —

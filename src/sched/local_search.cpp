@@ -1,11 +1,11 @@
 #include "sched/local_search.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <limits>
 #include <utility>
 
+#include "util/clock.hpp"
 #include "util/require.hpp"
 #include "workload/generator.hpp"
 
@@ -15,19 +15,6 @@ using device::ComponentId;
 using device::kNumComponents;
 
 namespace {
-
-class StopWatch {
- public:
-  StopWatch() : start_(std::chrono::steady_clock::now()) {}
-  double seconds() const {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         start_)
-        .count();
-  }
-
- private:
-  std::chrono::steady_clock::time_point start_;
-};
 
 /// A component different from \p avoid (and from \p avoid2 when possible).
 ComponentId other_component(util::Rng& rng, ComponentId avoid,
@@ -144,7 +131,7 @@ RandomSearchScheduler::RandomSearchScheduler(std::string name,
 core::ScheduleResult RandomSearchScheduler::schedule(
     const workload::Workload& w) {
   OB_REQUIRE(w.size() > 0, "RandomSearchScheduler: empty workload");
-  const StopWatch timer;
+  const util::PacedClock timer;
   util::Rng rng(config_.seed);
   const core::MappingEvaluator evaluate = factory_(w);
 
@@ -160,7 +147,7 @@ core::ScheduleResult RandomSearchScheduler::schedule(
       result.mapping = std::move(m);
     }
   }
-  result.decision_seconds = timer.seconds();
+  result.decision_seconds = timer.now_s();
   return result;
 }
 
@@ -181,7 +168,7 @@ HillClimbScheduler::HillClimbScheduler(std::string name,
 
 core::ScheduleResult HillClimbScheduler::schedule(const workload::Workload& w) {
   OB_REQUIRE(w.size() > 0, "HillClimbScheduler: empty workload");
-  const StopWatch timer;
+  const util::PacedClock timer;
   util::Rng rng(config_.seed);
   const core::MappingEvaluator evaluate = factory_(w);
 
@@ -216,7 +203,7 @@ core::ScheduleResult HillClimbScheduler::schedule(const workload::Workload& w) {
       result.mapping = current;
     }
   }
-  result.decision_seconds = timer.seconds();
+  result.decision_seconds = timer.now_s();
   return result;
 }
 
@@ -240,7 +227,7 @@ SimulatedAnnealingScheduler::SimulatedAnnealingScheduler(
 core::ScheduleResult SimulatedAnnealingScheduler::schedule(
     const workload::Workload& w) {
   OB_REQUIRE(w.size() > 0, "SimulatedAnnealingScheduler: empty workload");
-  const StopWatch timer;
+  const util::PacedClock timer;
   util::Rng rng(config_.seed);
   const core::MappingEvaluator evaluate = factory_(w);
 
@@ -281,7 +268,7 @@ core::ScheduleResult SimulatedAnnealingScheduler::schedule(
       result.mapping = current;
     }
   }
-  result.decision_seconds = timer.seconds();
+  result.decision_seconds = timer.now_s();
   return result;
 }
 

@@ -221,9 +221,9 @@ TEST(ClusterSingleBoard, ReplaysServingRuntimeBitIdenticallyThreeSeeds) {
 }
 
 TEST(ClusterSingleBoard, WarmOmniBoostReplaysServingRuntimeBitIdentically) {
-  // The warm path with a genuinely stateful scheduler (carried memos, warm
-  // search): one seed keeps the suite fast; the scheduler-state plumbing is
-  // identical across seeds.
+  // The warm path with OmniBoost's warm search (previous-mapping prior):
+  // one seed keeps the suite fast; the warm-start plumbing is identical
+  // across seeds.
   const Scenario s = pin_scenario(7);
   core::OmniBoostConfig oc;
   oc.mcts.budget = 32;

@@ -129,7 +129,7 @@ TEST(SequentialRegression, Batch1Workers1MatchesThePaperPath) {
     core::OmniBoostConfig cfg;
     cfg.mcts.budget = 150;
     cfg.mcts.seed = seed;
-    cfg.batch_size = 1;
+    cfg.mcts.batch_size = 1;
     cfg.workers = 1;
     core::OmniBoostScheduler sched(zoo(), embedding(), est, cfg);
     const auto got = sched.schedule(w);
@@ -160,7 +160,7 @@ TEST(SequentialRegression, BatchedAndCachedConfigsAgreeOnRewards) {
     core::OmniBoostConfig cfg;
     cfg.mcts.budget = 120;
     cfg.mcts.seed = 11;
-    cfg.batch_size = batch;
+    cfg.mcts.batch_size = batch;
     core::OmniBoostScheduler sched(zoo(), embedding(), est, cfg);
     const auto r = sched.schedule(w);
     EXPECT_EQ(r.evaluations + r.cache_hits, 120u);

@@ -343,7 +343,7 @@ TEST_F(EstimatorKernelParity, ReferenceKernelReproducesThePaperPathOn3Seeds) {
     core::OmniBoostConfig cfg;
     cfg.mcts.budget = 150;
     cfg.mcts.seed = seed;
-    cfg.batch_size = 1;
+    cfg.mcts.batch_size = 1;
     cfg.workers = 1;
     cfg.kernel = KernelKind::kReference;
     core::OmniBoostScheduler sched(zoo(), embedding(), est, cfg);

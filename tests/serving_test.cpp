@@ -3,8 +3,9 @@
 //    OmniBoost (warm and cold) and every baseline, on 3 seeds
 //  * warm_start = false replays plain schedule() on every epoch
 //  * churn accounting on a hand-built scenario with a scripted scheduler
-//  * warm-started OmniBoost spends rollout_fraction of the cold budget and
-//    pins the surviving streams' previous assignments into its candidates
+//  * warm-started OmniBoost spends rollout_fraction of the cold budget,
+//    pins the surviving streams' previous assignments into its candidates,
+//    and keeps no evaluation or DES replay from one decision to the next
 
 #include <gtest/gtest.h>
 
@@ -322,25 +323,43 @@ TEST(OmniBoostReschedule, PinnedRolloutKeepsSurvivingAssignmentsReachable) {
   EXPECT_EQ(warm.mapping, cold.mapping);  // zero churn by construction
 }
 
-TEST(OmniBoostReschedule, CarriedMemoServesRepeatedMixesFromCache) {
+TEST(OmniBoostReschedule, KeepsNoStateBetweenDecisions) {
+  // DETERMINISM D1/D4: a warm decision is a pure function of
+  // (config, w, previous, ctx). The only memo is the one inside a single
+  // search, so re-deciding the same inputs on the same scheduler repeats the
+  // fresh scheduler's decision AND its accounting — no evaluation or DES
+  // replay carries over from the earlier call. Checked SLO-free and
+  // SLO-shaped.
   core::OmniBoostConfig cfg = small_config(31);
   cfg.rollout_fraction = 0.5;
-  cfg.prior_bias = 1.0;  // deterministic pin toward the previous mapping
-  core::OmniBoostScheduler omni(zoo(), embedding(), trained_estimator(), cfg);
-
   const Workload w{{ModelId::kAlexNet, ModelId::kMobileNet}};
-  const core::ScheduleResult cold = omni.schedule(w);
+  core::ScheduleContext plain;
+  plain.previous_workload = w;
+  plain.carried_from = {0, 1};
+  core::ScheduleContext sloed = plain;
+  sloed.slo_s = {0.5, 0.5};
+  sloed.board = &board();
 
-  core::ScheduleContext ctx;
-  ctx.previous_workload = w;
-  ctx.carried_from = {0, 1};
-  const core::ScheduleResult first = omni.reschedule(w, cold.mapping, ctx);
-  // Same mix again: the carried memo already holds every mapping the first
-  // warm decision scored, so repeats come back as cache hits.
-  const core::ScheduleResult second =
-      omni.reschedule(w, first.mapping, ctx);
-  EXPECT_GT(second.cache_hits, 0u);
-  EXPECT_EQ(second.evaluations + second.cache_hits, 24u);
+  for (const core::ScheduleContext& ctx : {plain, sloed}) {
+    SCOPED_TRACE(ctx.board != nullptr ? "SLO-shaped" : "SLO-free");
+    core::OmniBoostScheduler reused(zoo(), embedding(), trained_estimator(),
+                                    cfg);
+    const sim::Mapping previous = reused.schedule(w).mapping;
+    const core::ScheduleResult first = reused.reschedule(w, previous, ctx);
+    const core::ScheduleResult second = reused.reschedule(w, previous, ctx);
+    core::OmniBoostScheduler fresh(zoo(), embedding(), trained_estimator(),
+                                   cfg);
+    const core::ScheduleResult alone = fresh.reschedule(w, previous, ctx);
+    for (const core::ScheduleResult* r : {&second, &alone}) {
+      EXPECT_EQ(r->mapping, first.mapping);
+      EXPECT_EQ(r->expected_reward, first.expected_reward);
+      EXPECT_EQ(r->evaluations, first.evaluations);
+      EXPECT_EQ(r->cache_hits, first.cache_hits);
+      EXPECT_EQ(r->des_replays, first.des_replays);
+      EXPECT_EQ(r->replay_hits, 0u);
+    }
+    EXPECT_EQ(first.evaluations + first.cache_hits, 24u);  // 0.5 * 48
+  }
 }
 
 TEST(ServingRuntime, DefaultConfigReplaysManualScheduleRescheduleThreeSeeds) {
@@ -588,8 +607,9 @@ TEST(ServingRuntime, StallStarvedSloStreamCountsAsViolating) {
 TEST(OmniBoostReschedule, LooseSloLeavesTheDecisionBitIdentical) {
   // An SLO no candidate can break shapes nothing: the SLO-aware decision
   // must be bit-identical to the SLO-free one (same mapping, same reward,
-  // same budget split) — the DES replays only confirm feasibility. It must
-  // also leave the carried memos untouched (private-memo rule).
+  // same budget split) — the DES replays only confirm feasibility. The
+  // SLO-free path runs no replay at all; the SLO-aware one replays every
+  // distinct candidate it scores exactly once.
   core::OmniBoostConfig cfg = small_config(17);
   cfg.rollout_fraction = 0.5;
   core::OmniBoostScheduler plain(zoo(), embedding(), trained_estimator(), cfg);
@@ -615,9 +635,10 @@ TEST(OmniBoostReschedule, LooseSloLeavesTheDecisionBitIdentical) {
   EXPECT_EQ(no_slo.expected_reward, with_slo.expected_reward);
   EXPECT_EQ(no_slo.evaluations + no_slo.cache_hits,
             with_slo.evaluations + with_slo.cache_hits);
-  // SLO-aware decisions bypass the carried memos entirely.
-  EXPECT_GT(plain.carried_memo_footprint(), 0u);
-  EXPECT_EQ(sloed.carried_memo_footprint(), 0u);
+  EXPECT_EQ(cold_a.des_replays, 0u);
+  EXPECT_EQ(no_slo.des_replays, 0u);
+  EXPECT_EQ(with_slo.des_replays, with_slo.evaluations);
+  EXPECT_GT(with_slo.des_replays, 0u);
 }
 
 TEST(OmniBoostReschedule, ImpossibleSloStillYieldsAValidMapping) {
@@ -681,43 +702,6 @@ TEST(OmniBoostReschedule, SloShapingAvoidsAViolatingPreviousMapping) {
   EXPECT_GT(warm_replay.trace.per_dnn_latency[0].samples, 0u);
   EXPECT_LE(warm_replay.trace.per_dnn_latency[0].p99, slo)
       << "SLO-aware reschedule kept an SLO-breaking mapping";
-}
-
-TEST(OmniBoostReschedule, CarriedMemosAreBoundedByLruEviction) {
-  core::OmniBoostConfig cfg = small_config(41);
-  cfg.rollout_fraction = 0.5;
-  cfg.carried_memo_entries = 8;  // tiny cap: only the current mix survives
-
-  const Workload wa{{ModelId::kAlexNet, ModelId::kMobileNet}};
-  const Workload wb{{ModelId::kAlexNet, ModelId::kSqueezeNet}};
-  core::ScheduleContext ctx_a;
-  ctx_a.previous_workload = wa;
-  ctx_a.carried_from = {0, 1};
-  core::ScheduleContext ctx_b;
-  ctx_b.previous_workload = wa;
-  ctx_b.carried_from = {0, -1};  // MobileNet left, SqueezeNet arrived
-
-  core::OmniBoostScheduler capped(zoo(), embedding(), trained_estimator(),
-                                  cfg);
-  const core::ScheduleResult cold = capped.schedule(wa);
-  capped.reschedule(wa, cold.mapping, ctx_a);
-  const std::size_t after_a = capped.carried_memo_footprint();
-  EXPECT_GT(after_a, 0u);
-  capped.reschedule(wb, cold.mapping, ctx_b);
-
-  // Reference run that only ever reschedules mix B (unbounded cap): its
-  // footprint is exactly |B's memo|. The capped scheduler must match it —
-  // mix A's memo (the LRU one, over the cap) was evicted, mix B's kept.
-  core::OmniBoostConfig unbounded = cfg;
-  unbounded.carried_memo_entries = 0;
-  core::OmniBoostScheduler reference(zoo(), embedding(), trained_estimator(),
-                                     unbounded);
-  reference.schedule(wa);  // same cold decision state
-  reference.reschedule(wb, cold.mapping, ctx_b);
-  EXPECT_EQ(capped.carried_memo_footprint(),
-            reference.carried_memo_footprint());
-  EXPECT_LT(capped.carried_memo_footprint(),
-            after_a + reference.carried_memo_footprint());
 }
 
 }  // namespace

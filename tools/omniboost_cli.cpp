@@ -98,7 +98,7 @@ std::unique_ptr<core::IScheduler> make_scheduler(
     cfg.mcts.budget = budget;
     cfg.mcts.max_depth = depth;
     cfg.mcts.seed = seed;
-    cfg.batch_size = batch;
+    cfg.mcts.batch_size = batch;
     cfg.rollout_fraction = rollout_fraction;
     cfg.slo_hard_prune = slo_hard_prune;
     return std::make_unique<core::OmniBoostScheduler>(zoo, embedding,
@@ -779,8 +779,6 @@ int run_serve(int argc, char** argv) {
               util::Json::number(rep.total_slo_violations));
       out.set("total_des_replays",
               util::Json::number(rep.total_des_replays));
-      out.set("total_replay_hits",
-              util::Json::number(rep.total_replay_hits));
       out.set("background_searches",
               util::Json::number(rep.background_searches));
       out.set("background_improvements",
@@ -834,7 +832,6 @@ int run_serve(int argc, char** argv) {
       j.set("evaluations", util::Json::number(ep.decision.evaluations));
       j.set("cache_hits", util::Json::number(ep.decision.cache_hits));
       j.set("des_replays", util::Json::number(ep.decision.des_replays));
-      j.set("replay_hits", util::Json::number(ep.decision.replay_hits));
       j.set("avg_throughput_inf_s",
             util::Json::number(ep.measured_throughput));
       j.set("churn", util::Json::number(ep.churn));
@@ -871,8 +868,6 @@ int run_serve(int argc, char** argv) {
     out.set("total_cache_hits", util::Json::number(report.total_cache_hits));
     out.set("total_des_replays",
             util::Json::number(report.total_des_replays));
-    out.set("total_replay_hits",
-            util::Json::number(report.total_replay_hits));
     out.set("total_slo_streams", util::Json::number(report.total_slo_streams));
     out.set("total_slo_violations",
             util::Json::number(report.total_slo_violations));
@@ -914,10 +909,9 @@ int run_serve(int argc, char** argv) {
               report.mean_incremental_decision_seconds,
               100.0 * report.mean_churn, report.total_evaluations,
               report.total_cache_hits);
-  if (report.total_des_replays + report.total_replay_hits > 0)
-    std::printf("SLO replays: %zu DES replays executed, %zu served from the "
-                "replay memo\n",
-                report.total_des_replays, report.total_replay_hits);
+  if (report.total_des_replays > 0)
+    std::printf("SLO replays: %zu DES replays executed\n",
+                report.total_des_replays);
   if (report.total_slo_streams > 0)
     std::printf("SLO: %zu violations over %zu stream-epochs under an SLO\n",
                 report.total_slo_violations, report.total_slo_streams);

@@ -13,7 +13,10 @@
 #                  runs even after a failure (all failures are reported at
 #                  once) and ANY failure fails the script; the emitted
 #                  BENCH_*.json set is then validated by
-#                  tools/check_bench_json.py.
+#                  tools/check_bench_json.py. Finally runs
+#                  perfbench/test_perfbench.py, which builds the repo
+#                  benchmark's harness into <repo>/.bench_build/ — a change
+#                  that drops API the harness compiles against fails here.
 #   --require-simd Implies nothing extra at build time, but after the bench
 #                  JSON guard asserts BENCH_runtime_overhead_kernels.json
 #                  carries a populated "simd (ms)" column (the kernels table
@@ -212,6 +215,13 @@ PYEOF
       echo "run_tier1.sh: --require-simd needs python3" >&2
       exit 1
     fi
+  fi
+  echo "== repo benchmark tests =="
+  if command -v python3 > /dev/null 2>&1; then
+    (cd "$root" && python3 perfbench/test_perfbench.py)
+  else
+    echo "run_tier1.sh: WARNING: python3 not found, skipping" \
+         "perfbench/test_perfbench.py" >&2
   fi
   echo "== bench smoke PASS =="
 fi
