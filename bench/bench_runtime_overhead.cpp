@@ -27,6 +27,9 @@
 #include <utility>
 #include <vector>
 
+#include <time.h>
+
+#include "nn/inference_plan.hpp"
 #include "nn/kernel.hpp"
 #include "nn/layers.hpp"
 #include "tensor/simd.hpp"
@@ -111,14 +114,25 @@ BENCHMARK(BM_BoardMeasurement)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
+/// Seconds of CPU time the calling thread has used (CLOCK_THREAD_CPUTIME_ID).
+/// Unlike wall time it leaves out time spent waiting for a core, so it
+/// separates a slower program from a busier host.
+double thread_cpu_s() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         1e-9 * static_cast<double>(ts.tv_nsec);
+}
+
 /// Wall-clock of \p fn over \p repeats runs: the minimum (the work is
 /// deterministic, so the minimum is the run least disturbed by background
 /// load) plus the run-to-run stddev for callers that want to publish the
 /// load-variance signal (the column_stats block in the JSON summarizes
-/// across *rows*, not runs).
+/// across *rows*, not runs), and the minimum per-thread CPU time.
 struct TimedRuns {
   double min_s = std::numeric_limits<double>::infinity();
   double stddev_s = 0.0;
+  double min_cpu_s = std::numeric_limits<double>::infinity();
 };
 
 template <typename Fn>
@@ -126,16 +140,143 @@ TimedRuns timed_runs(std::size_t repeats, const Fn& fn) {
   TimedRuns out;
   util::RunningStats rs;
   for (std::size_t i = 0; i < repeats; ++i) {
+    const double c0 = thread_cpu_s();
     const auto t0 = std::chrono::steady_clock::now();
     fn();
     const double s = std::chrono::duration<double>(
                          std::chrono::steady_clock::now() - t0)
                          .count();
+    out.min_cpu_s = std::min(out.min_cpu_s, thread_cpu_s() - c0);
     rs.add(s);
     out.min_s = std::min(out.min_s, s);
   }
   out.stddev_s = rs.stddev();
   return out;
+}
+
+/// A warm search's query stream: masked inputs of one 4-stream mix whose
+/// mappings each re-draw about one layer in ten of a base mapping, as a
+/// warm-started rollout (prior_bias 0.9) does.
+std::vector<tensor::Tensor> warm_queries(util::Rng& rng, std::size_t n) {
+  const workload::Workload w = workload::random_mix(rng, 4);
+  const sim::Mapping base = workload::random_mapping(rng, ctx().zoo(), w, 3);
+  std::vector<tensor::Tensor> out;
+  for (std::size_t i = 0; i < n; ++i) {
+    std::vector<sim::Assignment> per_dnn;
+    for (std::size_t d = 0; d < base.num_dnns(); ++d) {
+      sim::Assignment a = base.assignment(d);
+      for (device::ComponentId& c : a)
+        if (rng.below(10) == 0)
+          c = static_cast<device::ComponentId>(
+              rng.below(device::kNumComponents));
+      per_dnn.push_back(std::move(a));
+    }
+    out.push_back(
+        ctx().embedding().masked_input(w, sim::Mapping(std::move(per_dnn))));
+  }
+  return out;
+}
+
+/// The inference plan stage by stage next to the module graph it was
+/// compiled from, over a query stream in waves of \p batch. A module stage
+/// is the run of top-level layers the plan fuses into that stage (a conv
+/// block is Conv2d + BatchNorm2d + GELU). The plan's GELU memo makes its
+/// cost depend on how much successive queries share, so its stages are
+/// timed in stream order, each call between its own clock reads, less what
+/// reading the clocks costs (timed around no work). Times are per wave.
+void add_plan_stage_rows(util::Table& t, const core::ThroughputEstimator& est,
+                         const std::vector<tensor::Tensor>& queries,
+                         std::size_t batch, std::size_t repeats) {
+  const std::unique_ptr<nn::Sequential> net = est.network_copy();
+  net->set_kernel(nn::KernelKind::kGemm);
+  const tensor::Tensor& first = queries.front();
+  const auto plan = nn::InferencePlan::compile(
+      *net, first.extent(0), first.extent(1), first.extent(2));
+  if (!plan) return;
+
+  // Module stages: a new stage starts at every layer that is not a
+  // BatchNorm2d, an activation or the Linear after the global pool.
+  std::vector<std::vector<std::size_t>> groups;
+  for (std::size_t i = 0; i < net->size(); ++i) {
+    const std::string name = net->layer(i).name();
+    if (groups.empty() ||
+        (name != "BatchNorm2d" && name != "GELU" && name != "ReLU" &&
+         name != "Linear"))
+      groups.emplace_back();
+    groups.back().push_back(i);
+  }
+  if (groups.size() != plan->num_stages()) return;
+
+  // stage_in[g][w]: the module's input to stage g for wave w.
+  const std::size_t waves = queries.size() / batch;
+  std::vector<std::vector<tensor::Tensor>> stage_in(groups.size());
+  for (std::size_t w = 0; w < waves; ++w) {
+    tensor::Tensor x = tensor::stack(std::vector<tensor::Tensor>(
+        queries.begin() + w * batch, queries.begin() + (w + 1) * batch));
+    for (std::size_t g = 0; g < groups.size(); ++g) {
+      stage_in[g].push_back(x);
+      for (const std::size_t i : groups[g]) x = net->layer(i).forward(x);
+    }
+  }
+
+  nn::InferencePlan::Scratch scratch;
+  // Per stage, the minimum over repeats of its summed time over the stream.
+  const auto plan_stages = [&](bool run) {
+    std::vector<TimedRuns> best(groups.size());
+    for (std::size_t r = 0; r < repeats; ++r) {
+      std::vector<double> wall(groups.size(), 0.0), cpu(groups.size(), 0.0);
+      for (std::size_t q = 0; q < waves * batch; ++q) {
+        plan->load_input(queries[q].data(), scratch);
+        for (std::size_t g = 0; g < groups.size(); ++g) {
+          const double c0 = thread_cpu_s();
+          const auto t0 = std::chrono::steady_clock::now();
+          if (run) plan->run_stage(g, scratch);
+          const auto t1 = std::chrono::steady_clock::now();
+          cpu[g] += thread_cpu_s() - c0;
+          wall[g] += std::chrono::duration<double>(t1 - t0).count();
+        }
+      }
+      for (std::size_t g = 0; g < groups.size(); ++g) {
+        best[g].min_s = std::min(best[g].min_s, wall[g]);
+        best[g].min_cpu_s = std::min(best[g].min_cpu_s, cpu[g]);
+      }
+    }
+    return best;
+  };
+  const double us_per_wave = 1e6 / static_cast<double>(waves);
+  const auto row = [&](const std::string& label, const TimedRuns& p,
+                       const TimedRuns& m) {
+    t.add_row({label, std::to_string(batch),
+               util::fmt(us_per_wave * p.min_s, 2),
+               util::fmt(us_per_wave * p.min_cpu_s, 2),
+               util::fmt(us_per_wave * m.min_s, 2),
+               util::fmt(us_per_wave * m.min_cpu_s, 2),
+               util::fmt(us_per_wave * p.min_s / static_cast<double>(batch), 2),
+               util::fmt(m.min_s / p.min_s, 2)});
+  };
+  const std::vector<TimedRuns> clocks = plan_stages(false);
+  const std::vector<TimedRuns> timed = plan_stages(true);
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    TimedRuns p;
+    p.min_s = timed[g].min_s - clocks[g].min_s;
+    p.min_cpu_s = timed[g].min_cpu_s - clocks[g].min_cpu_s;
+    const TimedRuns m = timed_runs(repeats, [&] {
+      for (std::size_t w = 0; w < waves; ++w) {
+        tensor::Tensor y = stage_in[g][w];
+        for (const std::size_t i : groups[g]) y = net->layer(i).forward(y);
+      }
+    });
+    row(plan->stage_name(g), p, m);
+  }
+  std::vector<float> out(3);
+  const TimedRuns p = timed_runs(repeats, [&] {
+    for (std::size_t q = 0; q < waves * batch; ++q)
+      plan->forward(queries[q].data(), out.data(), scratch);
+  });
+  const TimedRuns m = timed_runs(repeats, [&] {
+    for (std::size_t w = 0; w < waves; ++w) net->forward(stage_in[0][w]);
+  });
+  row("whole query", p, m);
 }
 
 /// p-th percentile (nearest rank, p in [0, 1]) of a sample set.
@@ -412,6 +553,42 @@ int main(int argc, char** argv) {
                   util::fmt(reward_delta * 1e6, 3)});
     }
     bench::report("runtime_overhead_kernels", kt);
+  }
+
+  // The inference plan (the gemm kernel's query path) stage by stage, next
+  // to the module graph, at batch 1 (the production wave width) and 16, in
+  // wall and per-thread CPU time, over a warm search's query stream. The
+  // last row repeats the whole query over unrelated random mixes, where
+  // the plan's GELU memo finds little to reuse. "plan per sample" divides
+  // by the batch: the plan runs samples one at a time.
+  {
+    const std::size_t stage_repeats = bench::scaled(7, 2);
+    const std::size_t stream = bench::scaled(256, 32);
+    std::printf("\ninference plan vs module graph, stage by stage (min of "
+                "%zu passes over %zu queries; us per wave):\n",
+                stage_repeats, stream);
+    util::Table pt({"stage", "batch", "plan wall (us)", "plan cpu (us)",
+                    "module wall (us)", "module cpu (us)",
+                    "plan per sample (us)", "module/plan"});
+    util::Rng rng(31);
+    const std::vector<tensor::Tensor> warm = warm_queries(rng, stream);
+    const auto est = ctx().estimator();
+    add_plan_stage_rows(pt, *est, warm, 1, stage_repeats);
+    add_plan_stage_rows(pt, *est, warm, 16, stage_repeats);
+    std::vector<tensor::Tensor> cold;
+    for (std::size_t i = 0; i < stream; ++i) {
+      const workload::Workload w = workload::random_mix(rng, 4);
+      cold.push_back(ctx().embedding().masked_input(
+          w, workload::random_mapping(rng, ctx().zoo(), w, 3)));
+    }
+    util::Table ct({"stage", "batch", "plan wall (us)", "plan cpu (us)",
+                    "module wall (us)", "module cpu (us)",
+                    "plan per sample (us)", "module/plan"});
+    add_plan_stage_rows(ct, *est, cold, 1, stage_repeats);
+    const auto& last = ct.data().back();
+    pt.add_row({"whole query, unrelated mixes", last[1], last[2], last[3],
+                last[4], last[5], last[6], last[7]});
+    bench::report("runtime_overhead_plan_stages", pt);
   }
 
   // Warm-decision latency percentiles: repeated warm reschedules of one mix

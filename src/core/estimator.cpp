@@ -75,11 +75,33 @@ ThroughputEstimator::ThroughputEstimator(std::size_t models_dim,
   util::Rng rng(config.init_seed);
   net_->init(rng);
   net_->set_training(false);
+  compile_plan();
+}
+
+void ThroughputEstimator::compile_plan() {
+  plan_ = nn::InferencePlan::compile(*net_, device::kNumComponents,
+                                     models_dim_, layers_dim_);
 }
 
 void ThroughputEstimator::set_kernel(nn::KernelKind kind) {
   kernel_kind_ = kind;
   net_->set_kernel(kind);
+}
+
+std::unique_ptr<nn::Sequential> ThroughputEstimator::network_copy() const {
+  auto copy = build_net(config_);
+  // params()/buffers() are logically read-only here; the Module interface
+  // exposes them non-const because optimizers mutate through them.
+  auto& net = const_cast<nn::Sequential&>(*net_);
+  const std::vector<nn::Param*> from = net.params();
+  const std::vector<nn::Param*> to = copy->params();
+  for (std::size_t i = 0; i < from.size(); ++i) to[i]->value = from[i]->value;
+  const std::vector<tensor::Tensor*> from_buf = net.buffers();
+  const std::vector<tensor::Tensor*> to_buf = copy->buffers();
+  for (std::size_t i = 0; i < from_buf.size(); ++i) *to_buf[i] = *from_buf[i];
+  copy->set_kernel(kernel_kind_);
+  copy->set_training(false);
+  return copy;
 }
 
 std::size_t ThroughputEstimator::num_params() const {
@@ -141,6 +163,7 @@ nn::TrainHistory ThroughputEstimator::fit(const SampleSet& data,
   nn::TrainHistory history =
       nn::train_regression(*net_, loss, train_set, val_set, tc);
   net_->set_training(false);
+  compile_plan();
   trained_ = true;
   return history;
 }
@@ -151,12 +174,28 @@ std::array<double, 3> ThroughputEstimator::predict_normalized(
                  input.extent(1) == models_dim_ &&
                  input.extent(2) == layers_dim_,
              "ThroughputEstimator::predict: unexpected input shape");
-  tensor::Tensor batched = input.reshaped(
-      {1, device::kNumComponents, models_dim_, layers_dim_});
-  const tensor::Tensor out = net_->forward(batched);
+  if (plan_serves()) {
+    float out[3];
+    plan_forward(input, out);
+    return {static_cast<double>(out[0]), static_cast<double>(out[1]),
+            static_cast<double>(out[2])};
+  }
+  const tensor::Tensor out = net_->forward(input.reshaped(
+      {1, device::kNumComponents, models_dim_, layers_dim_}));
   OB_ENSURE(out.size() == 3, "estimator head must emit 3 outputs");
   return {static_cast<double>(out[0]), static_cast<double>(out[1]),
           static_cast<double>(out[2])};
+}
+
+bool ThroughputEstimator::plan_serves() const {
+  return plan_.has_value() && kernel_kind_ == nn::KernelKind::kGemm;
+}
+
+void ThroughputEstimator::plan_forward(const tensor::Tensor& input,
+                                       float* out) const {
+  // One arena per thread keeps predict* const and reentrant.
+  static thread_local nn::InferencePlan::Scratch scratch;
+  plan_->forward(input.data(), out, scratch);
 }
 
 std::array<double, 3> ThroughputEstimator::predict(
@@ -184,10 +223,17 @@ std::vector<std::array<double, 3>> ThroughputEstimator::predict_batch(
                    input.extent(2) == layers_dim_,
                "ThroughputEstimator::predict_batch: unexpected input shape");
   }
-  const tensor::Tensor out = net_->forward(tensor::stack(inputs));
-  OB_ENSURE(out.rank() == 2 && out.extent(0) == inputs.size() &&
-                out.extent(1) == 3,
-            "estimator head must emit 3 outputs per sample");
+  std::vector<float> out(3 * inputs.size());
+  if (plan_serves()) {
+    for (std::size_t i = 0; i < inputs.size(); ++i)
+      plan_forward(inputs[i], out.data() + 3 * i);
+  } else {
+    const tensor::Tensor y = net_->forward(tensor::stack(inputs));
+    OB_ENSURE(y.rank() == 2 && y.extent(0) == inputs.size() &&
+                  y.extent(1) == 3,
+              "estimator head must emit 3 outputs per sample");
+    std::copy(y.data(), y.data() + y.size(), out.begin());
+  }
   for (std::size_t i = 0; i < inputs.size(); ++i) {
     for (std::size_t d = 0; d < 3; ++d) {
       rates[i][d] = expand(target_transform_[d].invert(
@@ -303,6 +349,7 @@ ThroughputEstimator ThroughputEstimator::load(std::istream& is) {
     t.scale = read_f64(is);
   }
   nn::load_params(*est.net_, is);
+  est.compile_plan();
   est.trained_ = true;
   return est;
 }

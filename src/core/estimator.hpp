@@ -11,9 +11,11 @@
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "nn/inference_plan.hpp"
 #include "nn/loss.hpp"
 #include "nn/module.hpp"
 #include "nn/trainer.hpp"
@@ -65,6 +67,13 @@ class ThroughputEstimator {
                        const nn::Loss& loss, const nn::TrainConfig& train);
 
   /// Predicted per-component throughput, denormalized to inferences/sec.
+  ///
+  /// Every predict* is const and reentrant: any number of threads may query
+  /// one estimator at once. Under the gemm kernel (the default) the query
+  /// runs the compiled inference plan (nn/inference_plan.hpp), bit-identical
+  /// to the gemm module forward, over a per-thread scratch arena; under
+  /// reference and simd it runs the module graph in inference mode, which
+  /// writes no layer state.
   std::array<double, 3> predict(const tensor::Tensor& input) const;
 
   /// Predicted normalized outputs in [0, 1] (the network's raw view).
@@ -76,16 +85,14 @@ class ThroughputEstimator {
   /// regressions cancels part of the estimator's error.
   double predict_reward(const tensor::Tensor& input) const;
 
-  /// Batched predict(): stacks \p inputs along a leading batch dimension and
-  /// runs ONE forward pass through the CNN, amortizing the per-layer
-  /// traversal and output allocations over the whole batch. Every layer of
-  /// the network is per-sample independent in inference mode (BatchNorm uses
-  /// running statistics), so element i of the result is bit-identical to
-  /// predict(inputs[i]). An empty batch returns an empty vector.
-  ///
-  /// Thread-safety follows the same clone rule as predict(): the forward
-  /// pass mutates the estimator's per-layer activation caches, so concurrent
-  /// callers need private clones (see docs/ESTIMATOR.md).
+  /// Batched predict(). The inference plan (gemm kernel) runs the samples
+  /// one at a time; the module graph (reference, simd) stacks them along a
+  /// leading batch dimension and runs ONE forward pass, amortizing the
+  /// per-layer traversal and output allocations over the batch. Every layer
+  /// of the network is per-sample independent in inference mode (BatchNorm
+  /// uses running statistics), so element i of the result is bit-identical
+  /// to predict(inputs[i]). An empty batch returns an empty vector.
+  /// Reentrant like predict().
   std::vector<std::array<double, 3>> predict_batch(
       const std::vector<tensor::Tensor>& inputs) const;
 
@@ -95,12 +102,19 @@ class ThroughputEstimator {
 
   bool trained() const { return trained_; }
 
+  /// A private copy of the network: same weights and BatchNorm statistics,
+  /// this instance's kernel kind, inference mode. For tools and tests that
+  /// run the module graph itself (the plan's parity pins, per-stage
+  /// timings).
+  std::unique_ptr<nn::Sequential> network_copy() const;
+
   /// Compute-kernel selection for the CNN's Conv2d/Linear layers (see
   /// nn/kernel.hpp). A freshly constructed or loaded estimator uses
   /// nn::default_kernel(); this switches every layer of this instance. The
   /// kernel kind is execution state, not model state — it is NOT serialized,
   /// and both kinds predict within 1e-6 of each other (only kReference is
-  /// bit-frozen against the paper campaigns).
+  /// bit-frozen against the paper campaigns). Only kGemm queries go through
+  /// the inference plan. Not thread-safe against concurrent predict*.
   void set_kernel(nn::KernelKind kind);
   nn::KernelKind kernel() const { return kernel_kind_; }
 
@@ -119,8 +133,16 @@ class ThroughputEstimator {
   double compress(double rate) const;
   /// Inverse of compress().
   double expand(double value) const;
+  /// Recompiles plan_ from the current weights (microseconds).
+  void compile_plan();
+  /// True when queries run plan_ (the kernel is kGemm).
+  bool plan_serves() const;
+  /// The 3 normalized outputs of one (validated) input, through plan_.
+  void plan_forward(const tensor::Tensor& input, float* out) const;
 
   std::unique_ptr<nn::Sequential> net_;
+  /// net_ compiled for inference; serves predict* under kGemm.
+  std::optional<nn::InferencePlan> plan_;
   std::array<util::Affine1D, 3> target_transform_;
   std::size_t models_dim_, layers_dim_;
   EstimatorConfig config_;

@@ -121,14 +121,14 @@ struct MctsResult {
   std::size_t tree_nodes = 0;
 };
 
-/// Builds an independent evaluator instance for one search worker.
-/// Root-parallel search cannot share one evaluator across threads: the CNN
-/// estimator's forward pass mutates per-layer activation caches. Each call
-/// must return an evaluator whose mutable state is private (e.g. a cloned
-/// estimator; see OmniBoostConfig::workers).
+/// Builds the evaluator one search worker calls. The workers run
+/// concurrently, so whatever the returned evaluators share must be safe to
+/// call from several threads (the CNN estimator's predict* are); mutable
+/// state must be built inside the factory. See docs/ARCHITECTURE.md, "The
+/// shared-evaluator rule".
 using EvaluatorFactory = std::function<MappingEvaluator()>;
 
-/// Batch-evaluator variant of EvaluatorFactory; same private-state rule.
+/// Batch-evaluator variant of EvaluatorFactory; same sharing rule.
 using BatchEvaluatorFactory = std::function<BatchMappingEvaluator()>;
 
 /// Root-parallelized UCT: \p workers independent trees with forked seeds and
@@ -136,9 +136,8 @@ using BatchEvaluatorFactory = std::function<BatchMappingEvaluator()>;
 /// this is exactly Mcts::search() (same seed, same result). Decision quality
 /// is comparable at equal total budget; wall-clock drops by ~the worker
 /// count — the knob for shrinking the paper's ~30 s decision latency.
-/// Each worker keeps a private evaluation memo (caches are not shared across
-/// trees: sharing would reintroduce the cross-thread estimator state the
-/// clone rule exists to avoid).
+/// Each worker keeps a private evaluation memo; memos are never shared
+/// across trees.
 MctsResult parallel_mcts_search(const std::vector<std::size_t>& layer_counts,
                                 const EvaluatorFactory& make_evaluator,
                                 MctsConfig config, std::size_t workers);

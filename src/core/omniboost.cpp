@@ -59,30 +59,13 @@ ScheduleResult OmniBoostScheduler::schedule(const workload::Workload& w) {
   const MctsConfig& mcts = config_.mcts;
   const std::shared_ptr<const ThroughputEstimator> active = active_estimator();
 
-  MctsResult r;
-  if (config_.workers <= 1) {
-    Mcts search(w.layer_counts(*zoo_), batch_evaluator(w, active), mcts);
-    r = search.search();
-  } else {
-    // Root-parallel: the CNN forward pass mutates activation caches, so each
-    // worker needs a private estimator. Clone through the serialization path
-    // (bit-exact weights and preprocessing; ~20k parameters, microseconds),
-    // stamping the configured kernel kind onto every clone.
-    std::stringstream weights;
-    active->save(weights);
-    const std::string blob = weights.str();
-    const nn::KernelKind kernel = config_.kernel;
-    const BatchEvaluatorFactory factory = [this, &w, blob,
-                                           kernel]() -> BatchMappingEvaluator {
-      std::istringstream is(blob);
-      auto clone =
-          std::make_shared<ThroughputEstimator>(ThroughputEstimator::load(is));
-      clone->set_kernel(kernel);
-      return batch_evaluator(w, std::move(clone));
-    };
-    r = parallel_mcts_search_batched(w.layer_counts(*zoo_), factory, mcts,
-                                     config_.workers);
-  }
+  // Root-parallel workers share `active`: predict* is const and reentrant.
+  const BatchEvaluatorFactory factory = [this, &w, &active] {
+    return batch_evaluator(w, active);
+  };
+  const MctsResult r =
+      parallel_mcts_search_batched(w.layer_counts(*zoo_), factory, mcts,
+                                   std::max<std::size_t>(1, config_.workers));
 
   ScheduleResult out;
   out.mapping = r.best_mapping;

@@ -21,9 +21,9 @@ struct OmniBoostConfig {
   /// evaluation memo (mcts.cache).
   MctsConfig mcts;
   /// Root-parallel search workers. 1 reproduces the paper's sequential
-  /// search; N > 1 splits the budget over N independent trees, each with a
-  /// private clone of the estimator (the CNN forward pass is stateful), and
-  /// cuts the decision latency by ~N at comparable quality.
+  /// search; N > 1 splits the budget over N independent trees, all querying
+  /// the one shared estimator (its predict* are reentrant), and cuts the
+  /// decision latency by ~N at comparable quality.
   std::size_t workers = 1;
   /// Compute kernel for the estimator's CNN layers (nn/kernel.hpp).
   /// schedule() runs the search against an estimator with this kernel kind,

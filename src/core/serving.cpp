@@ -43,6 +43,15 @@ ServingSession::ServingSession(const models::ModelZoo& zoo,
       migration_(board.device(), config.migration),
       history_(history) {}
 
+void EpochLog::push_back(EpochReport ep) {
+  tail_.push_back(std::move(ep));
+  if (tail_.size() == kBlock) {
+    frozen_.push_back(
+        std::make_shared<const std::vector<EpochReport>>(std::move(tail_)));
+    tail_ = {};
+  }
+}
+
 const EpochReport& ServingSession::record(EpochReport ep) {
   ++report_.epoch_count;
   if (history_ == EpochHistory::kAll) {

@@ -18,6 +18,8 @@
 ///    two are bit-identical by construction (pinned by tests/cluster_test).
 
 #include <cstddef>
+#include <iterator>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -80,11 +82,71 @@ struct EpochReport {
   double migration_stall_s = 0.0;  ///< summed over streams
 };
 
+/// An append-only, read-only-to-callers sequence of epochs whose copies
+/// share storage: every full block of kBlock epochs is frozen behind a
+/// shared_ptr to const, and only the open tail block is copied. A copy
+/// therefore costs at most kBlock epoch copies plus one pointer per block,
+/// however long the session, which keeps ServingSession::finish() (one per
+/// `status`) from growing with session length. Frozen blocks are immutable,
+/// so copies may be read on any thread.
+class EpochLog {
+ public:
+  static constexpr std::size_t kBlock = 64;
+
+  class const_iterator {
+   public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = EpochReport;
+    using difference_type = std::ptrdiff_t;
+    using pointer = const EpochReport*;
+    using reference = const EpochReport&;
+
+    const_iterator(const EpochLog* log, std::size_t i) : log_(log), i_(i) {}
+    reference operator*() const { return (*log_)[i_]; }
+    pointer operator->() const { return &(*log_)[i_]; }
+    const_iterator& operator++() {
+      ++i_;
+      return *this;
+    }
+    const_iterator operator++(int) {
+      const_iterator old = *this;
+      ++i_;
+      return old;
+    }
+    bool operator==(const const_iterator& o) const { return i_ == o.i_; }
+    bool operator!=(const const_iterator& o) const { return i_ != o.i_; }
+
+   private:
+    const EpochLog* log_;
+    std::size_t i_;
+  };
+
+  std::size_t size() const { return frozen_.size() * kBlock + tail_.size(); }
+  bool empty() const { return size() == 0; }
+  const EpochReport& operator[](std::size_t i) const {
+    return i < frozen_.size() * kBlock ? (*frozen_[i / kBlock])[i % kBlock]
+                                       : tail_[i - frozen_.size() * kBlock];
+  }
+  const EpochReport& back() const { return (*this)[size() - 1]; }
+  const_iterator begin() const { return {this, 0}; }
+  const_iterator end() const { return {this, size()}; }
+
+  void push_back(EpochReport ep);
+  void clear() {
+    frozen_.clear();
+    tail_.clear();
+  }
+
+ private:
+  std::vector<std::shared_ptr<const std::vector<EpochReport>>> frozen_;
+  std::vector<EpochReport> tail_;
+};
+
 /// The whole serving session, plus the aggregates the benches compare.
 struct ServingReport {
   /// Every epoch served, in order — empty when the session was built with
   /// EpochHistory::kAggregatesOnly (epoch_count still counts them).
-  std::vector<EpochReport> epochs;
+  EpochLog epochs;
   std::size_t epoch_count = 0;  ///< epochs served (== epochs.size() by default)
 
   std::size_t decisions = 0;          ///< epochs that scheduled (non-idle)

@@ -26,7 +26,7 @@ float GELU::derivative(float x) {
 }
 
 Tensor GELU::forward(const Tensor& x) {
-  input_ = x;
+  if (training_) input_ = x;
   Tensor y = x;
   y.apply([](float v) { return value(v); });
   return y;
@@ -43,7 +43,7 @@ Tensor GELU::backward(const Tensor& grad_out) {
 }
 
 Tensor ReLU::forward(const Tensor& x) {
-  input_ = x;
+  if (training_) input_ = x;
   Tensor y = x;
   y.apply([](float v) { return v > 0.0f ? v : 0.0f; });
   return y;

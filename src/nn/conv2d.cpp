@@ -64,7 +64,7 @@ void Conv2d::init(util::Rng& rng) {
 Tensor Conv2d::forward(const Tensor& x) {
   OB_REQUIRE(x.rank() == 4, "Conv2d: input must be NCHW");
   OB_REQUIRE(x.extent(1) == in_ch_, "Conv2d: channel mismatch");
-  input_ = x;
+  if (training_) input_ = x;
 
   const std::size_t h = x.extent(2), w = x.extent(3);
   OB_REQUIRE(h + 2 * padding_ >= kernel_ && w + 2 * padding_ >= kernel_,

@@ -15,7 +15,8 @@ void Dropout::init(util::Rng& rng) {
 }
 
 Tensor Dropout::forward(const Tensor& x) {
-  if (!training() || p_ == 0.0f) {
+  if (!training()) return x;
+  if (p_ == 0.0f) {
     mask_ = Tensor();
     return x;
   }

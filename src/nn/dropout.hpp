@@ -25,6 +25,9 @@ class Dropout final : public Module {
 
   float drop_probability() const { return p_; }
 
+ protected:
+  void release_caches() override { mask_ = Tensor(); }
+
  private:
   float p_;
   util::Rng rng_;

@@ -33,6 +33,15 @@ class Conv2d final : public Module {
 
   std::size_t in_channels() const { return in_ch_; }
   std::size_t out_channels() const { return out_ch_; }
+  std::size_t kernel_size() const { return kernel_; }
+  std::size_t stride() const { return stride_; }
+  std::size_t padding() const { return padding_; }
+  bool has_bias() const { return has_bias_; }
+  const Tensor& weight() const { return weight_.value; }
+  const Tensor& bias() const { return bias_.value; }
+
+ protected:
+  void release_caches() override { input_ = Tensor(); }
 
  private:
   Tensor forward_reference(const Tensor& x, Tensor y) const;
@@ -62,6 +71,15 @@ class Linear final : public Module {
   KernelKind kernel_kind() const { return kernel_kind_; }
   std::string name() const override { return "Linear"; }
 
+  std::size_t in_features() const { return in_f_; }
+  std::size_t out_features() const { return out_f_; }
+  bool has_bias() const { return has_bias_; }
+  const Tensor& weight() const { return weight_.value; }
+  const Tensor& bias() const { return bias_.value; }
+
+ protected:
+  void release_caches() override { input_ = Tensor(); }
+
  private:
   std::size_t in_f_, out_f_;
   bool has_bias_;
@@ -87,6 +105,19 @@ class BatchNorm2d final : public Module {
   void init(util::Rng& rng) override;  ///< gamma=1, beta=0, reset running stats
   std::string name() const override { return "BatchNorm2d"; }
 
+  std::size_t channels() const { return channels_; }
+  float eps() const { return eps_; }
+  const Tensor& gamma() const { return gamma_.value; }
+  const Tensor& beta() const { return beta_.value; }
+  const Tensor& running_mean() const { return running_mean_; }
+  const Tensor& running_var() const { return running_var_; }
+
+ protected:
+  void release_caches() override {
+    xhat_ = Tensor();
+    inv_std_ = Tensor();
+  }
+
  private:
   std::size_t channels_;
   float eps_, momentum_;
@@ -109,6 +140,9 @@ class GELU final : public Module {
   /// Scalar derivative d GELU / dx.
   static float derivative(float x);
 
+ protected:
+  void release_caches() override { input_ = Tensor(); }
+
  private:
   Tensor input_;
 };
@@ -119,6 +153,9 @@ class ReLU final : public Module {
   Tensor forward(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out) override;
   std::string name() const override { return "ReLU"; }
+
+ protected:
+  void release_caches() override { input_ = Tensor(); }
 
  private:
   Tensor input_;
@@ -134,6 +171,15 @@ class MaxPool2d final : public Module {
   Tensor backward(const Tensor& grad_out) override;
   std::string name() const override { return "MaxPool2d"; }
 
+  std::size_t kernel_size() const { return kernel_; }
+  std::size_t stride() const { return stride_; }
+
+ protected:
+  void release_caches() override {
+    in_shape_.clear();
+    argmax_.clear();
+  }
+
  private:
   std::size_t kernel_, stride_;
   tensor::Shape in_shape_;
@@ -147,6 +193,9 @@ class GlobalAvgPool final : public Module {
   Tensor backward(const Tensor& grad_out) override;
   std::string name() const override { return "GlobalAvgPool"; }
 
+ protected:
+  void release_caches() override { in_shape_.clear(); }
+
  private:
   tensor::Shape in_shape_;
 };
@@ -157,6 +206,9 @@ class Flatten final : public Module {
   Tensor forward(const Tensor& x) override;
   Tensor backward(const Tensor& grad_out) override;
   std::string name() const override { return "Flatten"; }
+
+ protected:
+  void release_caches() override { in_shape_.clear(); }
 
  private:
   tensor::Shape in_shape_;

@@ -4,6 +4,11 @@
 
 namespace omniboost::nn {
 
+void Module::set_training(bool training) {
+  training_ = training;
+  if (!training) release_caches();
+}
+
 void Module::zero_grad() {
   for (Param* p : params()) p->grad.zero();
 }
@@ -61,6 +66,11 @@ void Sequential::init(util::Rng& rng) {
 }
 
 Module& Sequential::layer(std::size_t i) {
+  OB_REQUIRE(i < layers_.size(), "Sequential::layer: index out of range");
+  return *layers_[i];
+}
+
+const Module& Sequential::layer(std::size_t i) const {
   OB_REQUIRE(i < layers_.size(), "Sequential::layer: index out of range");
   return *layers_[i];
 }

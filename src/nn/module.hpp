@@ -13,11 +13,16 @@
 ///    bit-identical to N single-sample forwards. The estimator's
 ///    predict_batch relies on this contract; tests/estimator_batch_test.cpp
 ///    pins it.
-///  * forward() caches whatever backward() needs; backward(grad_out) returns
-///    grad w.r.t. the input and *accumulates* parameter gradients. These
-///    caches are per-layer-instance scratch — a module graph is cheap to run
-///    but NOT thread-safe to share; give each thread its own instance (the
-///    estimator-clone rule, docs/ARCHITECTURE.md).
+///  * In training mode forward() caches whatever backward() needs;
+///    backward(grad_out) returns grad w.r.t. the input and *accumulates*
+///    parameter gradients. These caches are per-layer-instance scratch, so
+///    a graph in training mode is NOT thread-safe to share.
+///  * In inference mode (set_training(false)) forward() writes no member
+///    state: switching to inference drops the caches, and an inference
+///    forward stores none. A graph in inference mode can therefore be run
+///    by many threads at once (the estimator's const predict* rely on it),
+///    and backward() after an inference forward fails its "before forward"
+///    check.
 ///  * Parameter gradients are cleared explicitly via zero_grad().
 
 #include <cstddef>
@@ -66,7 +71,8 @@ class Module {
   virtual std::vector<Tensor*> buffers() { return {}; }
 
   /// Switches between training and inference behaviour (BatchNorm etc.).
-  virtual void set_training(bool training) { training_ = training; }
+  /// Switching to inference drops the backward caches (release_caches).
+  virtual void set_training(bool training);
   bool training() const { return training_; }
 
   /// Selects the compute kernel for layers that have more than one lowering
@@ -88,6 +94,10 @@ class Module {
   std::size_t num_params();
 
  protected:
+  /// Frees whatever forward() cached for backward(). Called when the module
+  /// switches to inference mode, whose forwards cache nothing.
+  virtual void release_caches() {}
+
   bool training_ = true;
 };
 
@@ -116,6 +126,7 @@ class Sequential final : public Module {
 
   std::size_t size() const { return layers_.size(); }
   Module& layer(std::size_t i);
+  const Module& layer(std::size_t i) const;
 
  private:
   std::vector<std::unique_ptr<Module>> layers_;
@@ -137,6 +148,8 @@ class Residual final : public Module {
   void set_kernel(KernelKind kind) override { body_->set_kernel(kind); }
   void init(util::Rng& rng) override { body_->init(rng); }
   std::string name() const override { return "Residual"; }
+
+  const Module& body() const { return *body_; }
 
  private:
   std::unique_ptr<Module> body_;

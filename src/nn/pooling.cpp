@@ -17,9 +17,14 @@ Tensor MaxPool2d::forward(const Tensor& x) {
   const std::size_t oh = (h - kernel_) / stride_ + 1;
   const std::size_t ow = (w - kernel_) / stride_ + 1;
 
-  in_shape_ = x.shape();
   Tensor y({n, c, oh, ow});
-  argmax_.assign(y.size(), 0);
+  // The argmax map is a backward cache: inference forwards write none.
+  std::size_t* argmax = nullptr;
+  if (training_) {
+    in_shape_ = x.shape();
+    argmax_.assign(y.size(), 0);
+    argmax = argmax_.data();
+  }
 
   const float* xd = x.data();
   float* yd = y.data();
@@ -43,7 +48,7 @@ Tensor MaxPool2d::forward(const Tensor& x) {
             }
           }
           yd[o] = best;
-          argmax_[o] = plane_base + best_off;
+          if (argmax != nullptr) argmax[o] = plane_base + best_off;
         }
       }
     }
@@ -63,7 +68,7 @@ Tensor MaxPool2d::backward(const Tensor& grad_out) {
 
 Tensor GlobalAvgPool::forward(const Tensor& x) {
   OB_REQUIRE(x.rank() == 4, "GlobalAvgPool: input must be NCHW");
-  in_shape_ = x.shape();
+  if (training_) in_shape_ = x.shape();
   const std::size_t n = x.extent(0), c = x.extent(1),
                     plane = x.extent(2) * x.extent(3);
   Tensor y({n, c});
@@ -101,7 +106,7 @@ Tensor GlobalAvgPool::backward(const Tensor& grad_out) {
 
 Tensor Flatten::forward(const Tensor& x) {
   OB_REQUIRE(x.rank() >= 2, "Flatten: input must have a batch dimension");
-  in_shape_ = x.shape();
+  if (training_) in_shape_ = x.shape();
   const std::size_t n = x.extent(0);
   return x.reshaped({n, x.size() / n});
 }

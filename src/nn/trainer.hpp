@@ -58,9 +58,9 @@ struct TrainConfig {
   /// count: each worker evaluates a weight-identical replica and the
   /// per-batch losses reduce in batch order.
   std::size_t workers = 1;
-  /// Replica factory for the parallel validation pass (modules cache
-  /// activations, so threads can never share one instance — the same
-  /// clone rule as the parallel MCTS). Leave null to evaluate serially.
+  /// Replica factory for the parallel validation pass: each worker
+  /// evaluates its own weight-identical replica. Leave null to evaluate
+  /// serially.
   ModuleFactory replicate = nullptr;
 };
 

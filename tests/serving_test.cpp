@@ -6,6 +6,7 @@
 //  * warm-started OmniBoost spends rollout_fraction of the cold budget,
 //    pins the surviving streams' previous assignments into its candidates,
 //    and keeps no evaluation or DES replay from one decision to the next
+//  * a report's epoch log copies in bounded time and reads like a vector
 
 #include <gtest/gtest.h>
 
@@ -702,6 +703,40 @@ TEST(OmniBoostReschedule, SloShapingAvoidsAViolatingPreviousMapping) {
   EXPECT_GT(warm_replay.trace.per_dnn_latency[0].samples, 0u);
   EXPECT_LE(warm_replay.trace.per_dnn_latency[0].p99, slo)
       << "SLO-aware reschedule kept an SLO-breaking mapping";
+}
+
+TEST(EpochLog, CopiesShareFrozenBlocksAndKeepTheirOwnLength) {
+  // finish() copies the report once per status read, so copying the epoch
+  // log must not copy every epoch served: full blocks are shared, and a
+  // copy keeps the length it had while the original grows.
+  core::EpochLog log;
+  const std::size_t n = 3 * core::EpochLog::kBlock + 5;
+  for (std::size_t i = 0; i < n; ++i) {
+    core::EpochReport ep;
+    ep.time_s = static_cast<double>(i);
+    log.push_back(std::move(ep));
+  }
+  const core::EpochLog copy = log;
+  ASSERT_EQ(copy.size(), n);
+  EXPECT_EQ(&copy[0], &log[0]) << "frozen block was copied";
+  EXPECT_EQ(&copy[3 * core::EpochLog::kBlock - 1],
+            &log[3 * core::EpochLog::kBlock - 1]);
+  EXPECT_NE(&copy.back(), &log.back()) << "open tail must be private";
+  std::size_t i = 0;
+  for (const core::EpochReport& ep : copy)
+    EXPECT_EQ(ep.time_s, static_cast<double>(i++));
+  EXPECT_EQ(i, n);
+
+  for (std::size_t j = 0; j < core::EpochLog::kBlock; ++j)
+    log.push_back(core::EpochReport{});
+  EXPECT_EQ(copy.size(), n);
+  EXPECT_EQ(copy.back().time_s, static_cast<double>(n - 1));
+  EXPECT_EQ(log.size(), n + core::EpochLog::kBlock);
+
+  core::EpochLog cleared = copy;
+  cleared.clear();
+  EXPECT_TRUE(cleared.empty());
+  EXPECT_EQ(copy.size(), n);
 }
 
 }  // namespace

@@ -50,6 +50,7 @@ EXPECTED = [
     "runtime_overhead",
     "runtime_overhead_batching",
     "runtime_overhead_kernels",
+    "runtime_overhead_plan_stages",
     "runtime_overhead_slo_replay",
     "runtime_overhead_warm_percentiles",
     "scalability",

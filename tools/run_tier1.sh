@@ -26,11 +26,11 @@
 #                  would still pass. Requires --bench-smoke.
 #   --tsan         Run only the ThreadSanitizer lane instead of the steps
 #                  above: build the concurrent surfaces (daemon_test,
-#                  protocol_test, util_parallel_test, parallel_mcts_test and
-#                  omniboost_cli, which daemon_test drives) with
-#                  -fsanitize=thread in their own build directory
-#                  (<build>-tsan) and run those four suites. CI runs it as
-#                  its own matrix entry.
+#                  protocol_test, util_parallel_test, parallel_mcts_test,
+#                  estimator_concurrency_test and omniboost_cli, which
+#                  daemon_test drives) with -fsanitize=thread in their own
+#                  build directory (<build>-tsan) and run those five suites.
+#                  CI runs it as its own matrix entry.
 #
 # Environment:
 #   OMNIBOOST_BUILD_DIR    build directory (default <repo>/build)
@@ -69,7 +69,7 @@ sh "$root/tools/check_layering.sh"
 
 if [ "$tsan" -eq 1 ]; then
   tsan_dir="$build_dir-tsan"
-  tsan_tests="daemon_test protocol_test util_parallel_test parallel_mcts_test"
+  tsan_tests="daemon_test protocol_test util_parallel_test parallel_mcts_test estimator_concurrency_test"
   echo "== ThreadSanitizer lane ($tsan_dir) =="
   # shellcheck disable=SC2086
   cmake -B "$tsan_dir" -S "$root" -DOMNIBOOST_TSAN=ON \
